@@ -1,6 +1,7 @@
 // Micro-benchmarks of the kernels the experiments are built from:
 // SpGEMM / Hadamard (meta-diagram counting), ridge solve (step 1-1),
-// greedy and Hungarian selection (step 1-2), and full feature extraction.
+// greedy and Hungarian selection (step 1-2), conflict query selection
+// (step 2), and full feature extraction.
 //
 // Two modes:
 //   * default — Google Benchmark CLI (filters, repetitions, etc.);
@@ -21,6 +22,7 @@
 
 #include "src/align/greedy_selection.h"
 #include "src/align/hungarian.h"
+#include "src/align/query_strategy.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -434,6 +436,25 @@ void BM_GreedySelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelect)->Arg(2000)->Arg(20000);
+
+// One conflict-strategy round: y is the one-to-one greedy selection over
+// the scores, as ActiveIter hands it over, at ~60 candidate links per user.
+void BM_ConflictSelectQueries(benchmark::State& state) {
+  const size_t links = static_cast<size_t>(state.range(0));
+  SelectionFixture f(links / 60, links);
+  Vector y = GreedySelect(f.scores, *f.index, f.pins, 0.0);
+  QueryContext ctx;
+  ctx.scores = &f.scores;
+  ctx.y = &y;
+  ctx.index = f.index.get();
+  ctx.pinned = &f.pins;
+  ConflictQueryStrategy strategy;
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strategy.SelectQueries(ctx, 5, &rng));
+  }
+}
+BENCHMARK(BM_ConflictSelectQueries)->Arg(2000)->Arg(20000);
 
 void BM_HungarianSelect(benchmark::State& state) {
   SelectionFixture f(200, static_cast<size_t>(state.range(0)));

@@ -14,6 +14,33 @@ void ValidateContext(const QueryContext& ctx) {
                    ctx.index->candidate_count() == n);
 }
 
+/// U+: free links inferred positive, the ones that can play l' or l''.
+bool InPositive(const QueryContext& ctx, size_t id) {
+  return (*ctx.pinned)[id] == Pin::kFree && (*ctx.y)(id) >= 0.5;
+}
+
+/// The U+ links incident to each user of one side, as flat offsets + ids:
+/// user u's links are ids[offsets[u] .. offsets[u + 1]), in the order of
+/// the index's own per-user list (so tombstones never appear).
+struct PositiveLinksByUser {
+  using LinksOf = const std::vector<size_t>& (IncidenceIndex::*)(NodeId) const;
+
+  std::vector<size_t> offsets;
+  std::vector<size_t> ids;
+
+  PositiveLinksByUser(const QueryContext& ctx, size_t users,
+                      LinksOf links_of) {
+    offsets.reserve(users + 1);
+    offsets.push_back(0);
+    for (NodeId u = 0; u < users; ++u) {
+      for (size_t id : (ctx.index->*links_of)(u)) {
+        if (InPositive(ctx, id)) ids.push_back(id);
+      }
+      offsets.push_back(ids.size());
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<size_t> ConflictQueryStrategy::SelectQueries(
@@ -22,7 +49,16 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
   const Vector& scores = *ctx.scores;
   const Vector& y = *ctx.y;
   const std::vector<Pin>& pinned = *ctx.pinned;
+  const IncidenceIndex& index = *ctx.index;
+  const auto& links = index.candidates().links();
   const size_t n = scores.size();
+
+  // One O(|H|) pass groups the U+ links per user; each link l below then
+  // visits just its U+ conflicts instead of every conflicting link.
+  const PositiveLinksByUser first(ctx, index.users_first(),
+                                  &IncidenceIndex::LinksOfFirst);
+  const PositiveLinksByUser second(ctx, index.users_second(),
+                                   &IncidenceIndex::LinksOfSecond);
 
   // Candidate set C: links in U− (inferred negative, unpinned) that
   // conflict with a near-tied positive l' and a dominated positive l''.
@@ -38,12 +74,14 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
   std::vector<NearMiss> near_misses;
   for (size_t l = 0; l < n; ++l) {
     if (pinned[l] != Pin::kFree || y(l) > 0.5) continue;  // need l ∈ U−
+    const auto& [u1, u2] = links[l];
+    ACTIVEITER_CHECK_MSG(u1 < index.users_first() && u2 < index.users_second(),
+                         "candidate link endpoint outside the index");
     double score_l = scores(l);
     bool has_close_winner = false;
     double best_gap = -1.0;
     double min_distance = -1.0;
-    for (size_t other : ctx.index->ConflictingLinks(l)) {
-      if (pinned[other] != Pin::kFree || y(other) < 0.5) continue;  // U+
+    auto visit = [&](size_t other) {
       double score_o = scores(other);
       double distance = std::abs(score_o - score_l);
       if (min_distance < 0.0 || distance < min_distance) {
@@ -55,6 +93,16 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
       if (score_o > 0.0 && score_l - score_o >= dominance_) {
         best_gap = std::max(best_gap, score_l - score_o);  // candidate l''
       }
+    };
+    // Same visit order as IncidenceIndex::ConflictingLinks restricted to
+    // U+: first-side conflicts, then second-side ones not sharing u1 (those
+    // were already visited on the first side).
+    for (size_t i = first.offsets[u1]; i < first.offsets[u1 + 1]; ++i) {
+      if (first.ids[i] != l) visit(first.ids[i]);
+    }
+    for (size_t i = second.offsets[u2]; i < second.offsets[u2 + 1]; ++i) {
+      size_t other = second.ids[i];
+      if (other != l && links[other].first != u1) visit(other);
     }
     // NOTE: l' and l'' are necessarily distinct when both conditions hold
     // with closeness_ < dominance-implied separation; when the same

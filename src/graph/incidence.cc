@@ -150,9 +150,10 @@ std::vector<size_t> IncidenceIndex::ConflictingLinks(size_t link_id) const {
   for (size_t other : by_first_[u1]) {
     if (other != link_id) out.push_back(other);
   }
+  // A second-side link sharing u1 is already on the first side; that O(1)
+  // endpoint test is the whole deduplication.
   for (size_t other : by_second_[u2]) {
-    if (other != link_id &&
-        std::find(out.begin(), out.end(), other) == out.end()) {
+    if (other != link_id && candidates_->link(other).first != u1) {
       out.push_back(other);
     }
   }

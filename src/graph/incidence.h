@@ -102,8 +102,10 @@ class IncidenceIndex {
   const std::vector<size_t>& LinksOfSecond(NodeId u2) const;
 
   /// Link ids that conflict with `link_id` (share either endpoint),
-  /// excluding `link_id` itself. Order: first-side conflicts then
-  /// second-side conflicts, each in insertion order, deduplicated.
+  /// excluding `link_id` itself, each exactly once. Order: first-side
+  /// conflicts, then the second-side conflicts whose first endpoint differs
+  /// (the rest were listed on the first side), each in insertion order.
+  /// O(deg).
   std::vector<size_t> ConflictingLinks(size_t link_id) const;
 
   /// A(1): |U1| × |H| incidence matrix.

@@ -1,8 +1,10 @@
 #include "src/align/query_strategy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,141 @@ TEST(ConflictStrategyTest, NearMissRequiresConflictingPositive) {
   ConflictQueryStrategy strategy(0.05, 0.05, /*fill_with_near_misses=*/true);
   Rng rng(1);
   EXPECT_TRUE(strategy.SelectQueries(f.Context(), 4, &rng).empty());
+}
+
+/// Brute-force reference for ConflictQueryStrategy: the strategy's
+/// definition written as a loop over IncidenceIndex::ConflictingLinks for
+/// every U− link, O(|H|·deg). Returns the whole ranking; a batch of k is its
+/// first k entries. Kept here, not in the library, to referee the
+/// linear-time SelectQueries.
+std::vector<size_t> BruteForceConflictRanking(const QueryContext& ctx,
+                                              double closeness,
+                                              double dominance,
+                                              bool fill_with_near_misses) {
+  const Vector& scores = *ctx.scores;
+  const Vector& y = *ctx.y;
+  const std::vector<Pin>& pinned = *ctx.pinned;
+  std::vector<std::pair<size_t, double>> candidates;   // (link, gap)
+  std::vector<std::pair<size_t, double>> near_misses;  // (link, distance)
+  for (size_t l = 0; l < scores.size(); ++l) {
+    if (pinned[l] != Pin::kFree || y(l) > 0.5) continue;  // l ∈ U−
+    double score_l = scores(l);
+    bool has_close_winner = false;
+    double best_gap = -1.0;
+    double min_distance = -1.0;
+    for (size_t other : ctx.index->ConflictingLinks(l)) {
+      if (pinned[other] != Pin::kFree || y(other) < 0.5) continue;  // U+
+      double score_o = scores(other);
+      double distance = std::abs(score_o - score_l);
+      if (min_distance < 0.0 || distance < min_distance) {
+        min_distance = distance;
+      }
+      if (distance <= closeness) has_close_winner = true;
+      if (score_o > 0.0 && score_l - score_o >= dominance) {
+        best_gap = std::max(best_gap, score_l - score_o);
+      }
+    }
+    if (has_close_winner && best_gap >= 0.0) {
+      candidates.emplace_back(l, best_gap);
+    } else if (min_distance >= 0.0) {
+      near_misses.emplace_back(l, min_distance);
+    }
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  std::stable_sort(near_misses.begin(), near_misses.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second < b.second;
+                   });
+  std::vector<size_t> out;
+  for (const auto& [link, gap] : candidates) out.push_back(link);
+  if (fill_with_near_misses) {
+    for (const auto& [link, distance] : near_misses) out.push_back(link);
+  }
+  return out;
+}
+
+/// A seeded random instance: random scores (sometimes on a coarse grid, so
+/// ties and threshold-boundary distances occur), labels with several
+/// positives per user (not one-to-one, some exactly 0.5 so a link is in
+/// both U+ and U−), random pins, duplicate pairs and tombstoned links.
+Fixture RandomInstance(uint64_t seed) {
+  Rng rng(seed);
+  bool large = seed % 10 == 0;
+  size_t users_first = 1 + rng.UniformInt(large ? 100 : 30);
+  size_t users_second = 1 + rng.UniformInt(large ? 100 : 30);
+  // At most ~20 links per user on the sparser side keeps the O(|H|·deg)
+  // reference cheap.
+  size_t links = 1 + rng.UniformInt(std::min<size_t>(
+                         large ? 2000 : 200,
+                         20 * std::min(users_first, users_second)));
+  HeteroNetwork a(NetworkSchema::SocialNetwork(), "n1");
+  a.AddNodes(NodeType::kUser, users_first);
+  HeteroNetwork b(NetworkSchema::SocialNetwork(), "n2");
+  b.AddNodes(NodeType::kUser, users_second);
+  Fixture f{AlignedPair(std::move(a), std::move(b)), {}, nullptr,
+            {}, {}, {}};
+  for (size_t id = 0; id < links; ++id) {
+    if (id > 0 && rng.Bernoulli(0.1)) {
+      auto [u1, u2] = f.candidates.link(rng.UniformInt(id));
+      f.candidates.Add(u1, u2);
+    } else {
+      f.candidates.Add(static_cast<NodeId>(rng.UniformInt(users_first)),
+                       static_cast<NodeId>(rng.UniformInt(users_second)));
+    }
+  }
+  f.index = std::make_unique<IncidenceIndex>(f.pair, f.candidates);
+  std::vector<size_t> tombstones;
+  for (size_t id = 0; id < links; ++id) {
+    if (rng.Bernoulli(0.05)) tombstones.push_back(id);
+  }
+  for (size_t id : tombstones) EXPECT_TRUE(f.candidates.Remove(id).ok());
+  EXPECT_TRUE(f.index->RemoveCandidates(tombstones).ok());
+
+  bool grid = rng.Bernoulli(0.5);
+  f.scores = Vector(links);
+  f.y = Vector(links);
+  f.pinned.assign(links, Pin::kFree);
+  for (size_t id = 0; id < links; ++id) {
+    double score = 1.2 * rng.UniformDouble() - 0.2;
+    f.scores(id) = grid ? std::round(score * 40.0) / 40.0 : score;
+    double label = rng.UniformDouble();
+    f.y(id) = label < 0.05 ? 0.5 : (label < 0.45 ? 1.0 : 0.0);
+    if (rng.Bernoulli(0.1)) {
+      f.pinned[id] = rng.Bernoulli(0.5) ? Pin::kPositive : Pin::kNegative;
+    }
+  }
+  return f;
+}
+
+TEST(ConflictStrategyTest, MatchesBruteForceReferenceOnRandomInstances) {
+  size_t nonempty_strict = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Fixture f = RandomInstance(seed);
+    const size_t h = f.scores.size();
+    double closeness = seed % 3 == 0 ? 0.1 : 0.05;
+    double dominance = seed % 5 == 0 ? 0.2 : 0.05;
+    for (bool fill : {false, true}) {
+      ConflictQueryStrategy strategy(closeness, dominance, fill);
+      std::vector<size_t> ranking =
+          BruteForceConflictRanking(f.Context(), closeness, dominance, fill);
+      if (!fill && !ranking.empty()) ++nonempty_strict;
+      for (size_t k : {size_t{0}, size_t{1}, size_t{5}, h}) {
+        Rng rng(seed);
+        std::vector<size_t> want(
+            ranking.begin(),
+            ranking.begin() +
+                static_cast<ptrdiff_t>(std::min(k, ranking.size())));
+        ASSERT_EQ(strategy.SelectQueries(f.Context(), k, &rng), want)
+            << "seed " << seed << " k " << k << " fill " << fill;
+      }
+    }
+  }
+  // The instances must exercise the strict candidate set, not just the
+  // empty and near-miss paths.
+  EXPECT_GT(nonempty_strict, 100u);
 }
 
 TEST(RandomStrategyTest, PicksOnlyUnpinned) {

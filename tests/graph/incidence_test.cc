@@ -50,11 +50,41 @@ TEST(IncidenceIndexTest, ConflictingLinks) {
   CandidateLinkSet c = MakeCandidates();
   IncidenceIndex index(pair, c);
   // Link 0 = (0,0): conflicts with 1 (shares u1=0) and 2 (shares u2=0).
-  std::vector<size_t> conflicts = index.ConflictingLinks(0);
-  std::sort(conflicts.begin(), conflicts.end());
-  EXPECT_EQ(conflicts, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(index.ConflictingLinks(0), (std::vector<size_t>{1, 2}));
+  // Link 3 = (1,1): first-side conflict 2 comes before second-side 1.
+  EXPECT_EQ(index.ConflictingLinks(3), (std::vector<size_t>{2, 1}));
   // Link 4 = (2,2) conflicts with nothing.
   EXPECT_TRUE(index.ConflictingLinks(4).empty());
+}
+
+TEST(IncidenceIndexTest, ConflictingLinksListsDuplicatePairOnce) {
+  AlignedPair pair = MakePair();
+  // Links: 0:(0,0) 1:(0,1) 2:(1,0) 3:(0,0) — 3 duplicates link 0's pair.
+  CandidateLinkSet c;
+  c.Add(0, 0);
+  c.Add(0, 1);
+  c.Add(1, 0);
+  c.Add(0, 0);
+  IncidenceIndex index(pair, c);
+  // 3 shares both endpoints with 0: listed on the first side only.
+  EXPECT_EQ(index.ConflictingLinks(0), (std::vector<size_t>{1, 3, 2}));
+  EXPECT_EQ(index.ConflictingLinks(3), (std::vector<size_t>{0, 1, 2}));
+  // Reached through u2=0 only, the duplicates still appear once each.
+  EXPECT_EQ(index.ConflictingLinks(2), (std::vector<size_t>{0, 3}));
+  EXPECT_EQ(index.ConflictingLinks(1), (std::vector<size_t>{0, 3}));
+}
+
+TEST(IncidenceIndexTest, ConflictingLinksSkipTombstonesBeforeCompaction) {
+  AlignedPair pair = MakePair();
+  CandidateLinkSet c = MakeCandidates();
+  IncidenceIndex index(pair, c);
+  ASSERT_TRUE(c.Remove(1).ok());
+  ASSERT_TRUE(index.RemoveCandidates({1}).ok());
+  // Link 1 = (0,1) is tombstoned but not yet compacted away.
+  EXPECT_EQ(index.ConflictingLinks(0), (std::vector<size_t>{2}));
+  EXPECT_EQ(index.ConflictingLinks(3), (std::vector<size_t>{2}));
+  // The tombstone itself still resolves its endpoints.
+  EXPECT_EQ(index.ConflictingLinks(1), (std::vector<size_t>{0, 3}));
 }
 
 TEST(IncidenceIndexTest, IncidenceMatricesMatchDefinition) {

@@ -20,9 +20,9 @@
 //      breakdown that --record=PATH writes into BENCH_serve.json.
 //   2. pipelined vs serial — per-delta drains at pipeline_depth 0 (serial
 //      coordinator: prepare and absorb strictly alternate) vs depth 1
-//      (double-buffered plane ring: the coordinator prepares drain N+1
-//      while shard executors absorb drain N). Outputs must be bitwise
-//      identical — every rep cross-checks a FNV fingerprint of all
+//      (the coordinator prepares drain N+1 on the one plane while shard
+//      executors absorb drain N through its FeatureView). Outputs must be
+//      bitwise identical — every rep cross-checks a FNV fingerprint of all
 //      per-shard snapshots (scores, labels, weights, ranked lists).
 //      Target on multi-core hosts: ≥1.4× at 2+ shards; on a single
 //      hardware thread the two stages time-slice and the ratio is ~1.

@@ -44,9 +44,14 @@ std::vector<size_t> CandidateLinkSet::Compact() {
 
 IncidenceIndex::IncidenceIndex(const AlignedPair& pair,
                                const CandidateLinkSet& candidates)
+    : IncidenceIndex(pair.first().NodeCount(NodeType::kUser),
+                     pair.second().NodeCount(NodeType::kUser), candidates) {}
+
+IncidenceIndex::IncidenceIndex(size_t users_first, size_t users_second,
+                               const CandidateLinkSet& candidates)
     : candidates_(&candidates),
-      users_first_(pair.first().NodeCount(NodeType::kUser)),
-      users_second_(pair.second().NodeCount(NodeType::kUser)),
+      users_first_(users_first),
+      users_second_(users_second),
       indexed_count_(candidates.size()),
       by_first_(users_first_),
       by_second_(users_second_) {
@@ -59,12 +64,13 @@ IncidenceIndex::IncidenceIndex(const AlignedPair& pair,
   }
 }
 
-void IncidenceIndex::SyncWithCandidates(const AlignedPair& pair) {
-  users_first_ = pair.first().NodeCount(NodeType::kUser);
-  users_second_ = pair.second().NodeCount(NodeType::kUser);
+void IncidenceIndex::SyncWithCandidates(size_t users_first,
+                                        size_t users_second) {
   ACTIVEITER_CHECK_MSG(
-      users_first_ >= by_first_.size() && users_second_ >= by_second_.size(),
+      users_first >= by_first_.size() && users_second >= by_second_.size(),
       "user universes may only grow");
+  users_first_ = users_first;
+  users_second_ = users_second;
   ACTIVEITER_CHECK_MSG(
       candidates_->size() >= indexed_count_,
       "candidate set shrank behind the index: shrinkage must flow through "

@@ -441,7 +441,40 @@ DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
 
 Matrix DeltaFeatureExtractor::Extract(const CandidateLinkSet& candidates) {
   Refresh();
-  const size_t d = catalog_.size();
+  return View().Extract(candidates);
+}
+
+FeatureView DeltaFeatureExtractor::View() const {
+  ACTIVEITER_CHECK_MSG(!pending(), "Refresh() must run before View()");
+  return FeatureView(scores_, UniverseOf(NodeType::kUser, NetworkSide::kFirst),
+                     UniverseOf(NodeType::kUser, NetworkSide::kSecond));
+}
+
+FeatureView::FeatureView(
+    std::vector<std::shared_ptr<const ProximityScores>> scores,
+    size_t users_first, size_t users_second)
+    : scores_(std::move(scores)),
+      users_first_(users_first),
+      users_second_(users_second) {}
+
+Vector FeatureView::Column(size_t k,
+                           const CandidateLinkSet& candidates) const {
+  ACTIVEITER_CHECK(k <= scores_.size());
+  if (k == scores_.size()) return Vector::Ones(candidates.size());
+  return scores_[k]->ScoresFor(candidates);
+}
+
+Vector FeatureView::RowFor(NodeId u1, NodeId u2) const {
+  Vector row(scores_.size() + 1);
+  for (size_t k = 0; k < scores_.size(); ++k) {
+    row(k) = scores_[k]->Score(u1, u2);
+  }
+  row(scores_.size()) = 1.0;
+  return row;
+}
+
+Matrix FeatureView::Extract(const CandidateLinkSet& candidates) const {
+  const size_t d = scores_.size();
   Matrix x(candidates.size(), d + 1);
   for (size_t k = 0; k < d; ++k) {
     Vector col = scores_[k]->ScoresFor(candidates);
@@ -449,27 +482,6 @@ Matrix DeltaFeatureExtractor::Extract(const CandidateLinkSet& candidates) {
   }
   for (size_t i = 0; i < candidates.size(); ++i) x(i, d) = 1.0;  // bias
   return x;
-}
-
-Vector DeltaFeatureExtractor::Column(size_t k,
-                                     const CandidateLinkSet& candidates)
-    const {
-  ACTIVEITER_CHECK_MSG(initialised_ && !pending_refresh_,
-                       "Refresh() must run before Column()");
-  ACTIVEITER_CHECK(k <= catalog_.size());
-  if (k == catalog_.size()) return Vector::Ones(candidates.size());
-  return scores_[k]->ScoresFor(candidates);
-}
-
-Vector DeltaFeatureExtractor::RowFor(NodeId u1, NodeId u2) const {
-  ACTIVEITER_CHECK_MSG(initialised_ && !pending_refresh_,
-                       "Refresh() must run before RowFor()");
-  Vector row(catalog_.size() + 1);
-  for (size_t k = 0; k < catalog_.size(); ++k) {
-    row(k) = scores_[k]->Score(u1, u2);
-  }
-  row(catalog_.size()) = 1.0;
-  return row;
 }
 
 }  // namespace activeiter

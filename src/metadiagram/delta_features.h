@@ -47,10 +47,45 @@
 #include "src/graph/aligned_pair.h"
 #include "src/metadiagram/features.h"
 #include "src/metadiagram/product_plan.h"
+#include "src/metadiagram/proximity.h"
 #include "src/metadiagram/relation_matrices.h"
 #include "src/obs/metrics.h"
 
 namespace activeiter {
+
+/// An immutable snapshot of the refreshed proximity tables: the whole read
+/// surface a consumer of the delta engine needs (feature columns, single
+/// rows and the user universes they span). Taking one copies one shared
+/// pointer per diagram. A view stays valid and unchanged for as long as it
+/// is held, because Refresh() builds every epoch's tables as new objects
+/// and never mutates one it already handed out. A view taken after epoch N
+/// therefore keeps reading epoch N's features while the engine moves on.
+class FeatureView {
+ public:
+  FeatureView(std::vector<std::shared_ptr<const ProximityScores>> scores,
+              size_t users_first, size_t users_second);
+
+  /// Number of feature columns including the trailing bias column.
+  size_t dimension() const { return scores_.size() + 1; }
+
+  /// User universes of the two networks the tables span.
+  size_t users_first() const { return users_first_; }
+  size_t users_second() const { return users_second_; }
+
+  /// Column k for the given candidates (k == dimension() - 1 → bias ones).
+  Vector Column(size_t k, const CandidateLinkSet& candidates) const;
+
+  /// One feature row (bias included) for a single pair.
+  Vector RowFor(NodeId u1, NodeId u2) const;
+
+  /// |candidates| × dimension() design matrix.
+  Matrix Extract(const CandidateLinkSet& candidates) const;
+
+ private:
+  std::vector<std::shared_ptr<const ProximityScores>> scores_;
+  size_t users_first_ = 0;
+  size_t users_second_ = 0;
+};
 
 /// Feature extraction that survives graph deltas.
 class DeltaFeatureExtractor {
@@ -97,12 +132,9 @@ class DeltaFeatureExtractor {
   /// implicitly when deltas are pending.
   Matrix Extract(const CandidateLinkSet& candidates);
 
-  /// Column k for the given candidates (k == catalog size → bias ones).
-  /// Refresh() must be up to date.
-  Vector Column(size_t k, const CandidateLinkSet& candidates) const;
-
-  /// One feature row (bias included) for a single pair.
-  Vector RowFor(NodeId u1, NodeId u2) const;
+  /// The refreshed tables as an immutable view. Refresh() must be up to
+  /// date.
+  FeatureView View() const;
 
   const RefreshStats& stats() const { return stats_; }
 

@@ -6,17 +6,7 @@ FeaturePlane::FeaturePlane(AlignedPair pair,
                            std::vector<AnchorLink> train_anchors,
                            FeatureExtractorOptions options)
     : pair_(std::move(pair)),
-      train_anchors_(std::move(train_anchors)),
-      options_(std::move(options)),
-      extractor_(pair_, train_anchors_, options_) {}
-
-std::unique_ptr<FeaturePlane> FeaturePlane::Clone() const {
-  auto twin =
-      std::make_unique<FeaturePlane>(pair_, train_anchors_, options_);
-  twin->obs_ = obs_;
-  twin->Refresh();  // warm: the first refresh computes every diagram
-  return twin;
-}
+      extractor_(pair_, std::move(train_anchors), std::move(options)) {}
 
 Status FeaturePlane::Apply(const PairDelta& delta) {
   TraceSpan span(obs_.tracer, "ingest.plane_apply");
@@ -28,11 +18,6 @@ Status FeaturePlane::Apply(const PairDelta& delta) {
 std::vector<size_t> FeaturePlane::Refresh() {
   TraceSpan span(obs_.tracer, "ingest.plane_refresh");
   return extractor_.Refresh();
-}
-
-Matrix FeaturePlane::Extract(const CandidateLinkSet& candidates) {
-  TraceSpan span(obs_.tracer, "ingest.plane_extract");
-  return extractor_.Extract(candidates);
 }
 
 }  // namespace activeiter

@@ -4,32 +4,32 @@
 // the delta-aware feature engine, the SpGEMM product cache — lives here,
 // behind a single-writer surface:
 //
-//   Apply(PairDelta)  — atomic graph growth + dirty-token bookkeeping
+//   Apply(PairDelta)  — atomic graph change + dirty-token bookkeeping
 //   Refresh()         — recompute dirty diagrams, migrate clean ones
-//   Extract / Column / RowFor — read the refreshed proximity tables
+//   View()            — an immutable FeatureView of the refreshed tables
 //
 // The plane is what makes sharded ingest scale: N ModelShards (see
-// ingestor.h) SHARE one plane, so per-batch graph work and diagram
-// recomputation run once per drain instead of once per shard. After
-// Refresh() the read surface (Column / RowFor / pair) is immutable until
-// the next Apply, so any number of shard threads may consume it
-// concurrently — the proximity tables are plain const data.
+// ingestor.h) share one plane, so per-batch graph work and diagram
+// recomputation run once per drain instead of once per shard. Shards never
+// read the plane itself. Each drain hands them a FeatureView: one shared
+// pointer per proximity table plus the post-growth user universes. The
+// tables are features of the graph alone (meta-diagram proximities), never
+// of the candidate set, and Refresh() rebuilds them as new objects, so a
+// view stays exactly as taken while the plane applies and refreshes later
+// drains. That is what lets the coordinator prepare drain N+1 on the same
+// plane while the shards still absorb drain N.
 //
-// Writer discipline: exactly one thread calls Apply/Refresh/Extract at a
-// time, and never concurrently with readers. Both DeltaIngestor (its own
-// worker) and ShardedIngestor (the coordinator, between shard fan-outs)
-// uphold this by construction.
+// Writer discipline: exactly one thread calls Apply/Refresh/View at a
+// time: ShardedIngestor's coordinator thread, or the ApplyOnce caller.
 
 #ifndef ACTIVEITER_SERVE_FEATURE_PLANE_H_
 #define ACTIVEITER_SERVE_FEATURE_PLANE_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/graph/aligned_pair.h"
-#include "src/graph/incidence.h"
 #include "src/metadiagram/delta_features.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -48,25 +48,13 @@ class FeaturePlane {
   FeaturePlane(const FeaturePlane&) = delete;
   FeaturePlane& operator=(const FeaturePlane&) = delete;
 
-  /// Deep copy for the pipelined coordinator's plane ring: same graph
-  /// state and anchor bridge, a fresh (warmed) feature engine. The clone
-  /// runs its first Refresh() before returning, so subsequent refreshes
-  /// are delta-bounded exactly like the original's. Obs sinks carry over.
-  std::unique_ptr<FeaturePlane> Clone() const;
-
   const AlignedPair& pair() const { return pair_; }
-  const std::vector<AnchorLink>& train_anchors() const {
-    return train_anchors_;
-  }
 
-  /// Attaches observability sinks (spans around Apply/Refresh/Extract).
-  /// Called by the owning ingestor before Start(); detached by default.
+  /// Attaches observability sinks (spans around Apply/Refresh). Called by
+  /// the owning coordinator before Start(); detached by default.
   void set_obs(ObsSinks obs) { obs_ = obs; }
 
-  /// Feature columns including the trailing bias.
-  size_t dimension() const { return extractor_.dimension(); }
-
-  /// Grows the graph atomically (nothing mutates on error) and marks the
+  /// Changes the graph atomically (nothing mutates on error) and marks the
   /// touched relations dirty. Cheap; recomputation waits for Refresh().
   Status Apply(const PairDelta& delta);
 
@@ -74,25 +62,12 @@ class FeaturePlane {
   /// column indices, ascending (all columns on the first call).
   std::vector<size_t> Refresh();
 
-  /// Full |H| × dimension() design matrix over `candidates` (runs
-  /// Refresh() implicitly when pending). Writer-side only.
-  Matrix Extract(const CandidateLinkSet& candidates);
-
-  /// Column k over `candidates` / one feature row. Pure reads of the
-  /// refreshed tables — safe from any number of threads between writes.
-  Vector Column(size_t k, const CandidateLinkSet& candidates) const {
-    return extractor_.Column(k, candidates);
-  }
-  Vector RowFor(NodeId u1, NodeId u2) const {
-    return extractor_.RowFor(u1, u2);
-  }
-
-  const DeltaFeatureExtractor& extractor() const { return extractor_; }
+  /// The refreshed tables as an immutable view (Refresh() must be up to
+  /// date). Costs one shared-pointer copy per diagram.
+  FeatureView View() const { return extractor_.View(); }
 
  private:
   AlignedPair pair_;
-  std::vector<AnchorLink> train_anchors_;
-  FeatureExtractorOptions options_;
   DeltaFeatureExtractor extractor_;
   ObsSinks obs_;
 };

@@ -1,7 +1,6 @@
 #include "src/serve/ingestor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/linalg/cholesky.h"
 
@@ -14,6 +13,10 @@ Counter& RowsRemovedCounter() {
   static Counter* counter = MetricsRegistry::Default().GetCounter(
       "serve.ingest.rows_removed");
   return *counter;
+}
+
+uint64_t PairKey(NodeId u1, NodeId u2) {
+  return (static_cast<uint64_t>(u1) << 32) | u2;
 }
 
 }  // namespace
@@ -155,6 +158,7 @@ Status ValidateCandidateEndpoints(const AlignedPair& pair,
 
 ModelShard::ModelShard(CandidateLinkSet candidates,
                        std::vector<size_t> global_ids,
+                       const std::vector<AnchorLink>& train_anchors,
                        AlignmentService* service, IngestorOptions options)
     : candidates_(std::move(candidates)),
       service_(service),
@@ -178,14 +182,31 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
   next_global_id_ =
       global_ids_.empty() ? candidates_.size() : global_ids_.back() + 1;
   if (!global_ids_.empty() && candidates_.empty()) next_global_id_ = 0;
+  train_anchor_keys_.reserve(train_anchors.size() * 2);
+  for (const AnchorLink& a : train_anchors) {
+    train_anchor_keys_.insert(PairKey(a.u1, a.u2));
+  }
 }
 
-Status ModelShard::Start(FeaturePlane& plane) {
+void ModelShard::PinTrainAnchorsFrom(size_t first_id) {
+  for (size_t id = first_id; id < candidates_.size(); ++id) {
+    const auto& [u1, u2] = candidates_.link(id);
+    if (train_anchor_keys_.count(PairKey(u1, u2)) != 0) {
+      session_->SetPin(id, Pin::kPositive);
+    }
+  }
+}
+
+Status ModelShard::Start(const FeatureView& features) {
   if (started_) return Status::FailedPrecondition("already started");
   TraceSpan span(options_.obs.tracer, "ingest.start");
   const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
-  x_ = plane.Extract(candidates_);
-  index_ = std::make_unique<IncidenceIndex>(plane.pair(), candidates_);
+  {
+    TraceSpan extract(options_.obs.tracer, "ingest.plane_extract");
+    x_ = features.Extract(candidates_);
+  }
+  index_ = std::make_unique<IncidenceIndex>(
+      features.users_first(), features.users_second(), candidates_);
   auto session = AlignmentSession::Create(x_, *index_,
                                           options_.serve.ridge_c,
                                           options_.serve.features.pool);
@@ -193,17 +214,7 @@ Status ModelShard::Start(FeaturePlane& plane) {
   session_ =
       std::make_unique<AlignmentSession>(std::move(session).value());
   // Pin the labeled positives L+: candidates that ARE a train anchor.
-  std::unordered_set<uint64_t> labeled;
-  labeled.reserve(plane.train_anchors().size() * 2);
-  for (const AnchorLink& a : plane.train_anchors()) {
-    labeled.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
-  }
-  for (size_t id = 0; id < candidates_.size(); ++id) {
-    const auto& [u1, u2] = candidates_.link(id);
-    if (labeled.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
-      session_->SetPin(id, Pin::kPositive);
-    }
-  }
+  PinTrainAnchorsFrom(0);
   started_ = true;
   Status published = Publish();
   if (!published.ok()) return published;
@@ -234,7 +245,7 @@ Status ModelShard::Publish() {
   return Status::OK();
 }
 
-Status ModelShard::ApplySlice(const FeaturePlane& plane,
+Status ModelShard::ApplySlice(const FeatureView& features,
                               const std::vector<size_t>& dirty_columns,
                               const ServeDelta& slice,
                               size_t submitted_batches) {
@@ -329,7 +340,7 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     std::vector<Vector> fresh;
     fresh.reserve(dirty_columns.size());
     for (size_t k : dirty_columns) {
-      fresh.push_back(plane.Column(k, candidates_));
+      fresh.push_back(features.Column(k, candidates_));
     }
     for (size_t i = 0; i < old_count; ++i) {
       bool changed = false;
@@ -352,7 +363,7 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   {
     // New candidates: feature rows straight from the proximity tables.
     TraceSpan span(options_.obs.tracer, "ingest.append_rows");
-    Matrix new_rows(slice.new_candidates.size(), plane.dimension());
+    Matrix new_rows(slice.new_candidates.size(), features.dimension());
     for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
       const auto& [u1, u2] = slice.new_candidates[r];
       candidates_.Add(u1, u2);
@@ -363,28 +374,17 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
         global_ids_.push_back(global_id);
       }
       next_global_id_ = global_id + 1;
-      Vector row = plane.RowFor(u1, u2);
+      Vector row = features.RowFor(u1, u2);
       for (size_t j = 0; j < row.size(); ++j) new_rows(r, j) = row(j);
     }
-    index_->SyncWithCandidates(plane.pair());
+    index_->SyncWithCandidates(features.users_first(),
+                               features.users_second());
     x_.AppendRows(new_rows);
     ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbAppendedRows(old_count));
     // A re-revealed candidate that IS a train anchor re-enters L+ — the
     // churn twin of Start()'s pinning pass (appended negatives never match
     // an anchor, so this is a no-op on grow-only streams).
-    if (!slice.new_candidates.empty()) {
-      std::unordered_set<uint64_t> labeled;
-      labeled.reserve(plane.train_anchors().size() * 2);
-      for (const AnchorLink& a : plane.train_anchors()) {
-        labeled.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
-      }
-      for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
-        const auto& [u1, u2] = slice.new_candidates[r];
-        if (labeled.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
-          session_->SetPin(old_count + r, Pin::kPositive);
-        }
-      }
-    }
+    PinTrainAnchorsFrom(old_count);
   }
 
   ++epoch_;
@@ -408,152 +408,6 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
 IngestStats ModelShard::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-DeltaIngestor::DeltaIngestor(AlignedPair pair,
-                             std::vector<AnchorLink> train_anchors,
-                             CandidateLinkSet candidates,
-                             AlignmentService* service,
-                             IngestorOptions options,
-                             std::vector<size_t> global_ids)
-    : options_(std::move(options)),
-      plane_(std::move(pair), std::move(train_anchors),
-             options_.serve.features),
-      shard_(std::move(candidates), std::move(global_ids), service,
-             options_) {
-  plane_.set_obs(options_.obs);
-  if (options_.obs.metrics != nullptr) {
-    epoch_lag_ = options_.obs.metrics->GetGauge("serve.ingest.epoch_lag");
-    service->set_metrics(options_.obs.metrics);
-  }
-}
-
-// The deprecated signature keeps old call sites compiling with the exact
-// legacy semantics: one epoch per submitted batch.
-DeltaIngestor::DeltaIngestor(AlignedPair pair,
-                             std::vector<AnchorLink> train_anchors,
-                             CandidateLinkSet candidates,
-                             AlignmentService* service, ServeOptions options)
-    : DeltaIngestor(std::move(pair), std::move(train_anchors),
-                    std::move(candidates), service,
-                    [&options] {
-                      IngestorOptions forwarded;
-                      forwarded.serve = options;
-                      forwarded.drain = DrainPolicy::kPerDelta;
-                      return forwarded;
-                    }()) {}
-
-DeltaIngestor::~DeltaIngestor() { Stop(); }
-
-Status DeltaIngestor::Start() { return shard_.Start(plane_); }
-
-Status DeltaIngestor::ApplyLocked(const ServeDelta& delta,
-                                  size_t submitted_batches) {
-  if (!shard_.started()) return Status::FailedPrecondition("Start() first");
-  ACTIVEITER_RETURN_IF_ERROR(ValidateCandidateEndpoints(plane_.pair(), delta));
-  ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(delta.graph));
-  const std::vector<size_t> dirty_columns = plane_.Refresh();
-  return shard_.ApplySlice(plane_, dirty_columns, delta, submitted_batches);
-}
-
-Status DeltaIngestor::ApplyOnce(const ServeDelta& delta) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ACTIVEITER_CHECK_MSG(!thread_running_,
-                         "ApplyOnce may not race the background thread");
-  }
-  return ApplyLocked(delta, /*submitted_batches=*/1);
-}
-
-void DeltaIngestor::StartBackground() {
-  ACTIVEITER_CHECK_MSG(shard_.started(), "Start() before StartBackground()");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (thread_running_) return;
-  stopping_ = false;
-  thread_running_ = true;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-void DeltaIngestor::Submit(ServeDelta delta) {
-  TraceSpan span(options_.obs.tracer, "ingest.submit");
-  if (epoch_lag_ != nullptr) epoch_lag_->Add(1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(delta));
-  }
-  cv_.notify_one();
-}
-
-void DeltaIngestor::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return (queue_.empty() && in_flight_ == 0) || !thread_running_;
-  });
-}
-
-void DeltaIngestor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!thread_running_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  worker_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  thread_running_ = false;
-  idle_cv_.notify_all();
-}
-
-Status DeltaIngestor::background_status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return background_status_;
-}
-
-void DeltaIngestor::WorkerLoop() {
-  for (;;) {
-    std::vector<ServeDelta> drained;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping with a drained queue
-      // kCoalesce takes the whole backlog in one bite; kPerDelta keeps the
-      // legacy one-epoch-per-submit cadence.
-      const size_t take = options_.drain == DrainPolicy::kCoalesce
-                              ? queue_.size()
-                              : size_t{1};
-      drained.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        drained.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      in_flight_ += drained.size();
-      if (!background_status_.ok()) {
-        // Sticky error: discard the batch, keep draining the queue.
-        in_flight_ -= drained.size();
-        if (epoch_lag_ != nullptr) epoch_lag_->Sub(drained.size());
-        if (queue_.empty()) idle_cv_.notify_all();
-        continue;
-      }
-    }
-    const size_t count = drained.size();
-    ServeDelta merged = [&] {
-      TraceSpan span(options_.obs.tracer, "ingest.drain_coalesce");
-      return count == 1 ? std::move(drained.front())
-                        : MergeServeDeltas(std::move(drained));
-    }();
-    Status applied = ApplyLocked(merged, count);
-    // Applied (or rejected with a sticky error) — either way these batches
-    // no longer lag behind the published epoch.
-    if (epoch_lag_ != nullptr) epoch_lag_->Sub(count);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!applied.ok() && background_status_.ok()) {
-        background_status_ = applied;
-      }
-      in_flight_ -= count;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace activeiter

@@ -2,25 +2,25 @@
 //
 // The write side is split along the axis that matters for sharding:
 //
-//   FeaturePlane  (feature_plane.h)  — whole-graph state: aligned pair +
-//                                      delta feature engine. Cost scales
-//                                      with the GRAPH, not the candidates.
-//   ModelShard    (here)             — per-slice state: candidates,
-//                                      incidence, design matrix X,
-//                                      AlignmentSession, PU alternation,
-//                                      snapshot chain. Cost scales with
-//                                      the SLICE.
-//   DeltaIngestor (here)             — one plane + one shard + a queue:
-//                                      the standalone single-writer
-//                                      pipeline.
+//   FeaturePlane    (feature_plane.h) — whole-graph state: aligned pair +
+//                                       delta feature engine. Cost scales
+//                                       with the GRAPH, not the candidates.
+//   ModelShard      (here)            — per-slice state: candidates,
+//                                       incidence, design matrix X,
+//                                       AlignmentSession, PU alternation,
+//                                       snapshot chain. Cost scales with
+//                                       the SLICE.
+//   ShardedIngestor (shard.h)         — the one ingest coordinator: a
+//                                       queue, one plane and N shards.
 //
-// A ServeDelta batch advances a (plane, shard) pair in seven steps:
+// A ServeDelta batch advances the write side in seven steps:
 //
 //   1. plane.Apply              (atomic graph change + dirty tokens; grows
 //                                AND shrinks — edge removals and anchor
 //                                retractions apply validate-then-commit)
-//   2. plane.Refresh            (only dirty diagrams recompute; clean
-//                                intermediates migrate via padding)
+//   2. plane.Refresh + View     (only dirty diagrams recompute; clean
+//                                tables migrate via padding; the drain's
+//                                FeatureView snapshots the result)
 //   3. removed rows             (withdrawn candidates: one blocked rank-k
 //                                DOWNDATE of the factor + Gram downdate,
 //                                then X/candidates/index/pins compact —
@@ -31,34 +31,27 @@
 //                                columns changed: Gram replace + rank-1
 //                                update/downdate pair per row)
 //   5. appended rows            (new candidates: feature row from the
-//                                proximity tables, Gram fold-in + one
-//                                rank-1 update per row)
+//                                view's proximity tables, Gram fold-in +
+//                                one rank-1 update per row)
 //   6. re-run the PU alternation (IterAligner against the grown session —
 //                                solves only, the factor is never rebuilt)
 //   7. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
 // Steps 1–2 are plane work (once per drain, however many shards); steps
-// 3–7 are shard work (per slice, shard-parallel under ShardedIngestor —
-// see shard.h). After Start()'s single Prepare no full factorisation ever
-// runs again — stats().full_factorisations stays 1 per shard, proven in
-// the integration tests via CholeskyFactor::TotalFactorCount.
-//
-// Deltas are applied either synchronously (ApplyOnce — deterministic, used
-// by tests and epoch-by-epoch comparisons) or by the background thread
-// (StartBackground + Submit + Flush). The two modes must not be mixed
-// while the thread runs. Under DrainPolicy::kCoalesce (the default) the
-// background thread merges everything queued at wake-up into ONE batch, so
-// a burst of B submits costs one realign + one published epoch instead of
-// B — IngestStats::coalesced_batches counts the submits absorbed this way.
+// 3–7 are shard work (ModelShard::ApplySlice, per slice, shard-parallel —
+// see shard.h). A shard reads only its drain's FeatureView, never the
+// plane or the live pair. After Start()'s single Prepare no full
+// factorisation ever runs again — stats().full_factorisations stays 1 per
+// shard, proven in the integration tests via
+// CholeskyFactor::TotalFactorCount.
 
 #ifndef ACTIVEITER_SERVE_INGESTOR_H_
 #define ACTIVEITER_SERVE_INGESTOR_H_
 
-#include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -68,9 +61,9 @@
 #include "src/graph/aligned_pair.h"
 #include "src/graph/incidence.h"
 #include "src/graph/partition.h"
+#include "src/metadiagram/delta_features.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/serve/feature_plane.h"
 #include "src/serve/service.h"
 
 namespace activeiter {
@@ -121,44 +114,38 @@ struct ServeOptions {
   FeatureExtractorOptions features;
 };
 
-/// How the background thread drains its queue.
+/// How the background coordinator drains its queue.
 enum class DrainPolicy {
   /// Merge everything queued at wake-up into one batch: one realign + one
   /// published epoch per drain, however deep the backlog.
   kCoalesce,
-  /// One epoch per submitted batch (the pre-coalescing behaviour; every
-  /// submit costs a full realign).
+  /// One epoch per submitted batch (every submit costs a full realign).
   kPerDelta,
 };
 
-/// Construction-time options of the ingest layer (single ingestor and
-/// sharded). Replaces the old long positional argument list.
+/// Construction-time options of the ingest layer.
 struct IngestorOptions {
   /// Model knobs, forwarded to the alternation and feature engine.
   ServeOptions serve;
   /// Background-queue drain policy.
   DrainPolicy drain = DrainPolicy::kCoalesce;
-  /// Shard layout. A plain DeltaIngestor ignores it (it serves whatever
-  /// slice it was handed); ShardedIngestor fans out over
-  /// partition.num_shards slices.
+  /// Shard layout: ShardedIngestor fans out over partition.num_shards
+  /// slices.
   ShardPartition partition;
   /// Default k for query front ends when the caller does not say (e.g.
   /// serve_cli --topk 0).
   size_t default_top_k = 10;
-  /// Extra feature planes the sharded coordinator may have in flight
-  /// beyond the one the shards are absorbing: depth d keeps d+1 plane
-  /// buffers and prepares drain N+1 (graph apply + SpGEMM refresh) WHILE
-  /// the shards absorb drain N. 0 restores the strictly serial
-  /// coordinator (one buffer; prepare waits for every shard). Published
-  /// epochs are bitwise-identical at every depth — only the overlap
-  /// changes. A plain DeltaIngestor is single-threaded past its queue and
-  /// ignores this knob (its stats report max_inflight_planes = 1).
+  /// Drains the coordinator may have in flight beyond the one the shards
+  /// are absorbing: depth d allows d + 1 drains in flight, so drain N+1's
+  /// graph apply + SpGEMM refresh runs WHILE the shards absorb drain N.
+  /// 0 is the strictly serial coordinator (prepare waits for every
+  /// shard). Published epochs are bitwise-identical at every depth — only
+  /// the overlap changes.
   size_t pipeline_depth = 1;
   /// When non-zero, ShardedIngestor::Submit blocks while the background
   /// queue holds this many undrained batches — backpressure so a fast
   /// producer cannot outrun the shards unboundedly. Each blocked Submit
-  /// counts one pipeline stall. 0 (default) means unbounded; a plain
-  /// DeltaIngestor ignores it (kCoalesce already collapses its backlog).
+  /// counts one pipeline stall. 0 (default) means unbounded.
   size_t submit_queue_limit = 0;
   /// Observability sinks. Detached (null) by default: every instrument
   /// site in the ingest/query pipeline reduces to one branch. When
@@ -181,7 +168,7 @@ struct IngestStats {
   uint64_t rank_one_updates = 0;      // factor updates + downdates
   uint64_t full_factorisations = 0;   // stays 1 after Start()
   // Pipeline accounting (coordinator-level; ModelShard leaves them 0).
-  uint64_t pipeline_stalls = 0;       // backpressure waits (buffer/queue)
+  uint64_t pipeline_stalls = 0;       // backpressure waits (slot/queue)
   uint64_t max_inflight_planes = 0;   // high-water drains in flight; a
                                       // value ≥ 2 proves prepare/absorb
                                       // overlapped. Serial mode reports 1.
@@ -193,16 +180,18 @@ struct IngestStats {
 
 /// One shard's model state: a disjoint candidate slice with its own
 /// incidence index, design matrix, RidgePrepared session, PU alternation
-/// and snapshot chain. Consumes a FeaturePlane it does not own; distinct
-/// shards over the same plane share nothing mutable, so their ApplySlice
-/// calls may run concurrently (each against its own slice) once the plane
-/// is refreshed.
+/// and snapshot chain. Reads features only through the FeatureView each
+/// call is handed; distinct shards share nothing mutable, so their
+/// ApplySlice calls may run concurrently (each against its own slice).
 class ModelShard {
  public:
-  /// `service` must outlive the shard. `global_ids`, when non-empty, maps
-  /// each initial candidate to its global link id (the sharded path;
-  /// empty means identity).
+  /// `train_anchors` is the fixed labeled bridge L+: candidates equal to a
+  /// train anchor are pinned positive, everything else stays unlabeled
+  /// (the PU setting). `service` must outlive the shard. `global_ids`,
+  /// when non-empty, maps each initial candidate to its global link id
+  /// (empty means identity).
   ModelShard(CandidateLinkSet candidates, std::vector<size_t> global_ids,
+             const std::vector<AnchorLink>& train_anchors,
              AlignmentService* service, IngestorOptions options);
 
   // index_ borrows candidates_; keep the shard pinned in memory.
@@ -210,16 +199,15 @@ class ModelShard {
   ModelShard& operator=(const ModelShard&) = delete;
 
   /// Builds and publishes epoch 0 — the only full feature gather, Gram
-  /// product and Cholesky factorisation of the shard's lifetime. The
-  /// plane refreshes lazily on the first shard that starts.
-  Status Start(FeaturePlane& plane);
+  /// product and Cholesky factorisation of the shard's lifetime.
+  Status Start(const FeatureView& features);
 
-  /// Applies this shard's slice of a batch against an already-refreshed
-  /// plane: removed rows downdated out for the slice's withdrawn
-  /// candidates, replaced rows for `dirty_columns`, appended rows for the
-  /// slice's new candidates, realign, publish. `submitted_batches` is the
-  /// number of Submit() calls the slice coalesces (1 for ApplyOnce).
-  Status ApplySlice(const FeaturePlane& plane,
+  /// Applies this shard's slice of a batch against the drain's view:
+  /// removed rows downdated out for the slice's withdrawn candidates,
+  /// replaced rows for `dirty_columns`, appended rows for the slice's new
+  /// candidates, realign, publish. `submitted_batches` is the number of
+  /// Submit() calls the slice coalesces (1 for ApplyOnce).
+  Status ApplySlice(const FeatureView& features,
                     const std::vector<size_t>& dirty_columns,
                     const ServeDelta& slice, size_t submitted_batches);
 
@@ -234,10 +222,13 @@ class ModelShard {
 
  private:
   Status Publish();
+  /// Pins every candidate from `first_id` on that is a train anchor.
+  void PinTrainAnchorsFrom(size_t first_id);
 
   CandidateLinkSet candidates_;
   AlignmentService* service_;
   IngestorOptions options_;  // options_.obs drives the stage spans below
+  std::unordered_set<uint64_t> train_anchor_keys_;  // L+ as (u1 << 32) | u2
 
   std::unique_ptr<IncidenceIndex> index_;
   Matrix x_;
@@ -252,110 +243,9 @@ class ModelShard {
   mutable std::mutex stats_mu_;
 };
 
-/// The standalone single-writer ingestor: one FeaturePlane, one
-/// ModelShard, one background queue. Owns the live model and feeds an
-/// AlignmentService with epochs.
-class DeltaIngestor {
- public:
-  /// Takes ownership of the initial serving state. `train_anchors` is the
-  /// fixed labeled bridge L+; candidates equal to a train anchor are
-  /// pinned positive, everything else stays unlabeled (the PU setting).
-  /// `service` must outlive the ingestor. `global_ids`, when non-empty,
-  /// maps each initial candidate to its global link id (the sharded path;
-  /// empty means identity).
-  DeltaIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
-                CandidateLinkSet candidates, AlignmentService* service,
-                IngestorOptions options = {},
-                std::vector<size_t> global_ids = {});
-
-  /// Deprecated forwarding constructor (pre-IngestorOptions signature).
-  /// Maps to DrainPolicy::kPerDelta — the exact legacy behaviour — and
-  /// will be removed one release after the IngestorOptions constructor.
-  [[deprecated("pass IngestorOptions instead of ServeOptions")]]
-  DeltaIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
-                CandidateLinkSet candidates, AlignmentService* service,
-                ServeOptions options);
-
-  ~DeltaIngestor();
-
-  DeltaIngestor(const DeltaIngestor&) = delete;
-  DeltaIngestor& operator=(const DeltaIngestor&) = delete;
-
-  /// Builds and publishes epoch 0 — the only full feature extraction,
-  /// Gram product and Cholesky factorisation of the ingestor's lifetime.
-  Status Start();
-
-  /// Applies one batch synchronously and publishes the next epoch.
-  Status ApplyOnce(const ServeDelta& delta);
-
-  /// Starts the background ingest thread (after Start()).
-  void StartBackground();
-
-  /// Enqueues a batch for the background thread.
-  void Submit(ServeDelta delta);
-
-  /// Blocks until every submitted batch has been applied and published.
-  void Flush();
-
-  /// Drains the queue and joins the background thread (idempotent).
-  void Stop();
-
-  /// First error hit by the background thread, if any (sticky; batches
-  /// submitted after an error are discarded).
-  Status background_status() const;
-
-  IngestStats stats() const {
-    IngestStats s = shard_.stats();
-    // The single-writer pipeline is strictly serial by design: one plane,
-    // no backpressure, never more than one drain in flight.
-    s.pipeline_stalls = 0;
-    s.max_inflight_planes = 1;
-    return s;
-  }
-
-  const IngestorOptions& options() const { return options_; }
-
-  // Read-only views of the live (ingest-side) state — for tests, shard
-  // plumbing and batch-rebuild comparisons. NOT safe to call while the
-  // background thread is running; query through the QueryBackend surface
-  // instead.
-  const AlignedPair& pair() const { return plane_.pair(); }
-  const CandidateLinkSet& candidates() const { return shard_.candidates(); }
-  const std::vector<AnchorLink>& train_anchors() const {
-    return plane_.train_anchors();
-  }
-  const Matrix& design() const { return shard_.design(); }
-  /// Local candidate id → global link id.
-  const std::vector<size_t>& global_ids() const {
-    return shard_.global_ids();
-  }
-  uint64_t epoch() const { return shard_.epoch(); }
-
- private:
-  void WorkerLoop();
-  Status ApplyLocked(const ServeDelta& delta, size_t submitted_batches);
-
-  IngestorOptions options_;
-  FeaturePlane plane_;
-  ModelShard shard_;
-  // Submitted-but-unpublished batches; null when metrics are detached.
-  Gauge* epoch_lag_ = nullptr;
-
-  // Background queue.
-  std::thread worker_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;        // queue not empty / stopping
-  std::condition_variable idle_cv_;   // queue drained
-  std::deque<ServeDelta> queue_;
-  size_t in_flight_ = 0;
-  bool stopping_ = false;
-  bool thread_running_ = false;
-  Status background_status_ = Status::OK();
-};
-
 /// Validates that every candidate endpoint of `delta` falls inside the
-/// user universes AFTER the batch's own node growth — the shared
-/// validate-before-mutate step of DeltaIngestor and ShardedIngestor.
+/// user universes AFTER the batch's own node growth — the
+/// validate-before-mutate step of every ingest drain.
 Status ValidateCandidateEndpoints(const AlignedPair& pair,
                                   const ServeDelta& delta);
 

@@ -29,7 +29,7 @@ std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
 
 /// Persistent absorb thread of one shard: a mailbox of routed slices,
 /// drained FIFO, so a shard sees every drain in submission order while
-/// the coordinator is already preparing the next plane buffer. Started at
+/// the coordinator is already preparing the next drain. Started at
 /// StartBackground, joined (after draining) at Stop — steady-state drains
 /// spawn zero threads.
 class ShardedIngestor::ShardExecutor {
@@ -77,7 +77,7 @@ class ShardedIngestor::ShardExecutor {
       Status status = Status::OK();
       if (owner_->background_status().ok()) {
         status = owner_->shards_[shard_]->ApplySlice(
-            *task.plane, *task.dirty_columns, task.slice,
+            *task.features, *task.dirty_columns, task.slice,
             task.submitted_batches);
       }
       owner_->OnSliceDone(task.seq, status);
@@ -98,8 +98,7 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
                                  CandidateLinkSet candidates,
                                  IngestorOptions options)
     : options_(std::move(options)),
-      plane_(std::move(pair), std::move(train_anchors),
-             options_.serve.features) {
+      plane_(std::move(pair), train_anchors, options_.serve.features) {
   ACTIVEITER_CHECK(options_.partition.Validate().ok());
   plane_.set_obs(options_.obs);
   if (options_.obs.metrics != nullptr) {
@@ -122,7 +121,7 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
     services_.back()->set_metrics(options_.obs.metrics);
     shards_.push_back(std::make_unique<ModelShard>(
         std::move(slices[s].links), std::move(slices[s].global_ids),
-        services_.back().get(), options_));
+        train_anchors, services_.back().get(), options_));
     backends.push_back(services_.back().get());
   }
   router_ =
@@ -133,46 +132,17 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
 ShardedIngestor::~ShardedIngestor() { Stop(); }
 
 Status ShardedIngestor::Start() {
-  // Sequential: the first shard's Extract refreshes the primary plane;
-  // the rest are pure gathers over their slices.
+  // The first refresh computes every diagram; each shard then gathers its
+  // slice from the one view.
+  const FeatureView features = [&] {
+    TraceSpan span(options_.obs.tracer, "ingest.plane_extract");
+    plane_.Refresh();
+    return plane_.View();
+  }();
   for (auto& shard : shards_) {
-    ACTIVEITER_RETURN_IF_ERROR(shard->Start(plane_));
-  }
-  if (ring_.empty()) {
-    // Depth d keeps d drains in flight beyond the one being absorbed,
-    // which needs d extra plane buffers — cloned once, kept for life.
-    ring_.push_back(&plane_);
-    for (size_t d = 0; d < options_.pipeline_depth; ++d) {
-      clone_planes_.push_back(plane_.Clone());
-      ring_.push_back(clone_planes_.back().get());
-    }
-    ring_applied_.assign(ring_.size(), 0);
-    ring_busy_.assign(ring_.size(), false);
+    ACTIVEITER_RETURN_IF_ERROR(shard->Start(features));
   }
   return Status::OK();
-}
-
-void ShardedIngestor::CatchUpBuffer(size_t buffer) {
-  FeaturePlane& plane = *ring_[buffer];
-  for (const auto& [seq, graph] : graph_history_) {
-    if (seq <= ring_applied_[buffer]) continue;
-    // Replays were validated and applied on a sibling buffer in the same
-    // state sequence, so they cannot fail here.
-    ACTIVEITER_CHECK_MSG(plane.Apply(graph).ok(),
-                         "plane buffer replay must not fail");
-    ring_applied_[buffer] = seq;
-  }
-}
-
-void ShardedIngestor::TrimHistory() {
-  uint64_t min_applied = ring_applied_.front();
-  for (uint64_t applied : ring_applied_) {
-    min_applied = std::min(min_applied, applied);
-  }
-  while (!graph_history_.empty() &&
-         graph_history_.front().first <= min_applied) {
-    graph_history_.pop_front();
-  }
 }
 
 Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
@@ -180,32 +150,20 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
   for (const auto& shard : shards_) {
     if (!shard->started()) return Status::FailedPrecondition("Start() first");
   }
-  // Deterministic mode keeps every plane buffer in lock-step: replay
-  // whatever a buffer missed while the coordinator ran, then advance all
-  // of them together (clone refreshes stay lazy — their accumulated dirt
-  // resolves on next background use, and the replace pass value-compares,
-  // so a superset dirty set cannot change any absorb).
-  for (size_t b = 0; b < ring_.size(); ++b) CatchUpBuffer(b);
-  graph_history_.clear();
   // Validate-before-mutate: a rejected batch leaves the plane AND every
   // shard untouched, so the write side stays consistent.
   ACTIVEITER_RETURN_IF_ERROR(
       ValidateCandidateEndpoints(plane_.pair(), merged));
   ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(merged.graph));
-  for (size_t b = 1; b < ring_.size(); ++b) {
-    ACTIVEITER_CHECK_MSG(ring_[b]->Apply(merged.graph).ok(),
-                         "plane buffers must advance in lock-step");
-  }
-  ++drain_seq_;
-  for (uint64_t& applied : ring_applied_) applied = drain_seq_;
   const std::vector<size_t> dirty_columns = plane_.Refresh();
+  const FeatureView features = plane_.View();
   std::vector<ServeDelta> routed = [&] {
     TraceSpan span(options_.obs.tracer, "ingest.route");
     return RouteServeDelta(merged, options_.partition, next_global_id_);
   }();
   for (size_t s = 0; s < shards_.size(); ++s) {
     ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
-        plane_, dirty_columns, routed[s], submitted_batches));
+        features, dirty_columns, routed[s], submitted_batches));
   }
   next_global_id_ += merged.new_candidates.size();
   return Status::OK();
@@ -213,32 +171,32 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
 
 Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
                                      size_t submitted_batches) {
-  // Acquire the drain's ring buffer (round-robin by sequence). With depth
-  // 0 there is one buffer, so this wait IS the serial barrier; with depth
-  // ≥ 1 a wait means every buffer is still being absorbed — backpressure,
-  // counted as a stall.
-  const size_t buffer = static_cast<size_t>(drain_seq_ % ring_.size());
+  // Wait for a free in-flight slot: at most pipeline_depth + 1 drains are
+  // between dispatch and publish. With depth 0 this wait IS the serial
+  // barrier; with depth ≥ 1 a wait means the shards fell a full pipeline
+  // behind — backpressure, counted as a stall.
   bool overlapped = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (ring_busy_[buffer]) {
+    if (inflight_drains_ > options_.pipeline_depth) {
       if (options_.pipeline_depth > 0) {
         ++stall_count_;
         if (pipeline_stall_counter_ != nullptr) {
           pipeline_stall_counter_->Increment();
         }
       }
-      plane_free_cv_.wait(lock,
-                          [this, buffer] { return !ring_busy_[buffer]; });
+      progress_cv_.wait(lock, [this] {
+        return inflight_drains_ <= options_.pipeline_depth;
+      });
     }
     ++inflight_drains_;
     max_inflight_ = std::max<uint64_t>(max_inflight_, inflight_drains_);
     overlapped = inflight_drains_ > 1;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Add(1);
   }
-  FeaturePlane& plane = *ring_[buffer];
   Status prepared = Status::OK();
   std::shared_ptr<const std::vector<size_t>> dirty;
+  std::shared_ptr<const FeatureView> features;
   std::vector<ServeDelta> routed;
   {
     TraceSpan prepare(options_.obs.tracer, "ingest.pipeline.prepare");
@@ -246,38 +204,31 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
     // drain was still absorbing is exactly the pipeline's win.
     TraceSpan overlap(overlapped ? options_.obs.tracer : nullptr,
                       "ingest.pipeline.overlap");
-    CatchUpBuffer(buffer);
-    prepared = ValidateCandidateEndpoints(plane.pair(), merged);
-    if (prepared.ok()) prepared = plane.Apply(merged.graph);
+    prepared = ValidateCandidateEndpoints(plane_.pair(), merged);
+    if (prepared.ok()) prepared = plane_.Apply(merged.graph);
     if (prepared.ok()) {
-      dirty = std::make_shared<const std::vector<size_t>>(plane.Refresh());
+      dirty = std::make_shared<const std::vector<size_t>>(plane_.Refresh());
+      features = std::make_shared<const FeatureView>(plane_.View());
       TraceSpan route_span(options_.obs.tracer, "ingest.route");
       routed = RouteServeDelta(merged, options_.partition, next_global_id_);
     }
   }
   if (!prepared.ok()) {
-    // Rejected before anything mutated: release the buffer untouched.
+    // Rejected before anything mutated: give the slot back.
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_drains_;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Sub(1);
-    plane_free_cv_.notify_all();
     return prepared;
   }
   const uint64_t seq = ++drain_seq_;
-  ring_applied_[buffer] = seq;
-  graph_history_.emplace_back(seq, merged.graph);
-  TrimHistory();
   next_global_id_ += merged.new_candidates.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_busy_[buffer] = true;
-    tickets_.push_back(
-        DrainTicket{seq, buffer, shards_.size(), submitted_batches});
+    tickets_.push_back(DrainTicket{seq, shards_.size(), submitted_batches});
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    executors_[s]->Enqueue(
-        SliceTask{&plane, dirty, std::move(routed[s]), submitted_batches,
-                  seq});
+    executors_[s]->Enqueue(SliceTask{features, dirty, std::move(routed[s]),
+                                     submitted_batches, seq});
   }
   return Status::OK();
 }
@@ -288,16 +239,14 @@ void ShardedIngestor::OnSliceDone(uint64_t seq, const Status& status) {
   for (auto it = tickets_.begin(); it != tickets_.end(); ++it) {
     if (it->seq != seq) continue;
     if (--it->remaining == 0) {
-      // Last shard of the drain: release the plane buffer and account
-      // the coalesced submits as published.
-      ring_busy_[it->buffer] = false;
+      // Last shard of the drain: free its in-flight slot and account the
+      // coalesced submits as published.
       --inflight_drains_;
       if (pipeline_inflight_ != nullptr) pipeline_inflight_->Sub(1);
       if (epoch_lag_ != nullptr) epoch_lag_->Sub(it->submitted);
       in_flight_ -= it->submitted;
       tickets_.erase(it);
-      plane_free_cv_.notify_all();
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+      progress_cv_.notify_all();
     }
     return;
   }
@@ -355,7 +304,7 @@ void ShardedIngestor::Submit(ServeDelta delta) {
 
 void ShardedIngestor::Flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
+  progress_cv_.wait(lock, [this] {
     return (queue_.empty() && in_flight_ == 0) || !thread_running_;
   });
 }
@@ -375,13 +324,9 @@ void ShardedIngestor::Stop() {
   executors_.clear();
   std::lock_guard<std::mutex> lock(mu_);
   ACTIVEITER_CHECK(tickets_.empty());
-  // Leave the primary buffer current: post-Stop accessors (pair(),
-  // design-matrix comparisons) and later ApplyOnce calls read it.
-  CatchUpBuffer(0);
-  TrimHistory();
   thread_running_ = false;
   stopping_ = false;
-  idle_cv_.notify_all();
+  progress_cv_.notify_all();
 }
 
 Status ShardedIngestor::background_status() const {
@@ -410,7 +355,7 @@ void ShardedIngestor::WorkerLoop() {
         // Sticky error: discard the batch, keep draining the queue.
         in_flight_ -= drained.size();
         if (epoch_lag_ != nullptr) epoch_lag_->Sub(drained.size());
-        if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+        progress_cv_.notify_all();
         continue;
       }
     }
@@ -427,7 +372,7 @@ void ShardedIngestor::WorkerLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (background_status_.ok()) background_status_ = prepared;
       in_flight_ -= count;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+      progress_cv_.notify_all();
     }
   }
 }
@@ -446,8 +391,8 @@ IngestStats ShardedIngestor::stats() const {
   }
   std::lock_guard<std::mutex> lock(mu_);
   total.pipeline_stalls = stall_count_;
-  // Before any background drain the pipeline trivially had one plane "in
-  // flight" (the primary); report 1 so serial runs read 0 stalls / 1.
+  // ApplyOnce-only runs never dispatch a background drain but do run one
+  // drain at a time; report 1 so they read 0 stalls / 1.
   total.max_inflight_planes = std::max<uint64_t>(max_inflight_, 1);
   return total;
 }

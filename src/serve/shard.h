@@ -1,49 +1,50 @@
-// ShardedIngestor: the write side of the sharded serve layer, run as a
-// two-stage software pipeline.
+// ShardedIngestor: the write side of the serve layer, run as a two-stage
+// software pipeline. It is the one ingest coordinator; a single shard is
+// the unsharded deployment.
 //
 //                       ┌──────────────── ShardedIngestor ────────────────┐
-//   ServeDelta ──▶ queue ─▶ coordinator ─▶ plane ring (graph + features:  │
-//     (Submit)            (coalesce +      buffer N+1 PREPARES while      │
-//                          route by        buffer N is absorbed)          │
-//                          u1 range,        │ read-only hand-off          │
-//                          assign      ┌────┴────┬─────────┐              │
-//                          global      ▼         ▼         ▼              │
-//                          link    executor 0 executor 1  ...             │
-//                          ids)    ModelShard ModelShard (persistent      │
+//   ServeDelta ──▶ queue ─▶ coordinator ─▶ FeaturePlane (one per          │
+//     (Submit)            (coalesce +      ingestor: apply + refresh      │
+//                          route by        drain N+1 while the shards     │
+//                          u1 range,       absorb drain N)                │
+//                          assign           │ per-drain FeatureView       │
+//                          global      ┌────┴────┬─────────┐              │
+//                          link        ▼         ▼         ▼              │
+//                          ids)    executor 0 executor 1  ...             │
+//                                  ModelShard ModelShard (persistent      │
 //                                      │         │         threads)       │
 //                                      ▼         ▼   per-shard publish    │
 //                                   AlignmentService per shard ───────────┼─▶ ShardRouter
 //                       └──────────────────────────────────────────────── ┘  (QueryBackend)
 //
-// Stage 1 (coordinator): validate → graph apply → SpGEMM refresh → route.
+// Stage 1 (coordinator): validate → graph apply → SpGEMM refresh → take
+// the drain's FeatureView → route.
 // Stage 2 (shard executors): downdate/replace/append rows → PU realign →
 // snapshot publish, one persistent thread per shard (mailbox + condition
 // variable, started once at StartBackground, joined at Stop — steady-state
 // drains spawn zero threads).
 //
-// The pipeline: the plane is a ring of pipeline_depth + 1 buffers. Drain
-// N's slices absorb against buffer N mod (d+1) while the coordinator
-// catches buffer (N+1) mod (d+1) up (replaying the drains it missed from a
-// short graph-delta history) and prepares drain N+1 on it. Acquiring a
-// still-busy buffer blocks the coordinator — that wait is the backpressure
-// (counted in IngestStats::pipeline_stalls), and with depth 0 (one buffer)
-// it degenerates to the strictly serial coordinator. Shards publish their
-// epochs independently as each slice completes — there is no whole-drain
-// barrier; the router's epoch() = slowest shard already tolerates the
-// skew, and each shard still sees every drain in submission order, so
-// published epochs are bitwise-identical to the serial schedule at every
-// depth. (Replaying a drain onto a buffer may mark a SUPERSET of the
-// serial dirty columns; that is harmless because the replace pass
-// value-compares each row against the design matrix before absorbing.)
+// The pipeline: the shards read a drain's features only through its
+// FeatureView — shared pointers to that epoch's proximity tables plus the
+// post-growth user universes. The plane rebuilds its tables as new objects
+// on every Refresh, so the coordinator applies and refreshes drain N+1 on
+// the one plane while the shards still read drain N's view. At most
+// pipeline_depth + 1 drains are in flight; the coordinator waits for a
+// free slot before preparing the next one. That wait is the backpressure
+// (counted in IngestStats::pipeline_stalls), and with depth 0 it is the
+// strictly serial coordinator. Shards publish their epochs independently
+// as each slice completes — there is no whole-drain barrier; the router's
+// epoch() = slowest shard already tolerates the skew. Each shard sees
+// every drain in submission order with exactly that drain's dirty columns,
+// so published epochs are bitwise-identical to the serial schedule at
+// every depth.
 //
 // Model semantics: each shard trains the PU alternation on its own slice.
-// With one shard this is bit-for-bit the unsharded DeltaIngestor (same
-// plane + shard composition; proven by the N=1 equivalence test); with N
-// shards each slice's model equals an independent single ingestor run
-// over that slice (the plane's feature state depends only on the graph,
-// never on the candidate set; proven by the N∈{2,4} equivalence test),
-// trading cross-shard one-to-one coupling on second-network users for
-// shard-parallel ingest.
+// With N shards each slice's model equals a single plane + ModelShard run
+// over that slice alone (the plane's feature state depends only on the
+// graph, never on the candidate set; proven by the sharded equivalence
+// test), trading cross-shard one-to-one coupling on second-network users
+// for shard-parallel ingest.
 //
 // Global link ids are assigned at drain time, in submission order across
 // all shards, so ids are stable across shard counts and the router's
@@ -70,6 +71,7 @@
 
 #include "src/common/status.h"
 #include "src/graph/partition.h"
+#include "src/serve/feature_plane.h"
 #include "src/serve/ingestor.h"
 #include "src/serve/router.h"
 
@@ -86,16 +88,18 @@ std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
                                         const ShardPartition& partition,
                                         size_t first_global_id);
 
-/// A plane ring + N ModelShards over disjoint candidate slices plus the
-/// ShardRouter serving them. Mirrors the DeltaIngestor lifecycle
-/// (Start → ApplyOnce | StartBackground/Submit/Flush/Stop); queries go
-/// through backend().
+/// One FeaturePlane + N ModelShards over disjoint candidate slices plus
+/// the ShardRouter serving them. Lifecycle: Start → ApplyOnce |
+/// StartBackground/Submit/Flush/Stop; queries go through backend().
+/// ApplyOnce is the deterministic path used by tests and epoch-by-epoch
+/// comparisons; it must not be mixed with the background coordinator
+/// while that runs.
 class ShardedIngestor {
  public:
   /// Takes ownership of the initial state and splits it across
-  /// `options.partition.num_shards` shards. The pair and the labeled
-  /// bridge L+ live once per plane buffer (pipeline_depth + 1 of them);
-  /// candidate ownership follows the partition.
+  /// `options.partition.num_shards` shards. The pair lives once, in the
+  /// plane; the labeled bridge L+ is handed to the plane and to every
+  /// shard here; candidate ownership follows the partition.
   ShardedIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
                   CandidateLinkSet candidates, IngestorOptions options = {});
 
@@ -104,19 +108,19 @@ class ShardedIngestor {
   ShardedIngestor(const ShardedIngestor&) = delete;
   ShardedIngestor& operator=(const ShardedIngestor&) = delete;
 
-  /// Starts every shard against the primary plane (one full feature
-  /// refresh total; one Gram factorisation per shard), publishes epoch 0
-  /// on all of them, and clones the extra pipeline plane buffers.
+  /// Refreshes the plane once (every diagram) and starts every shard
+  /// against that view (one Gram factorisation per shard), publishing
+  /// epoch 0 on all of them.
   Status Start();
 
   /// Routes one batch and applies it synchronously, shard after shard.
-  /// Deterministic; shard epochs stay in lock-step and every plane buffer
-  /// advances together.
+  /// Deterministic; shard epochs stay in lock-step.
   Status ApplyOnce(const ServeDelta& delta);
 
   /// Background ingest: one coordinator thread that drains the queue
-  /// (coalescing per the drain policy) and prepares plane buffers, plus
-  /// one persistent executor thread per shard absorbing the slices.
+  /// (coalescing per the drain policy) and prepares each drain on the
+  /// plane, plus one persistent executor thread per shard absorbing the
+  /// slices.
   void StartBackground();
 
   /// Enqueues a batch. The batch must not carry global link ids — this
@@ -128,8 +132,8 @@ class ShardedIngestor {
   /// Blocks until every submitted batch has been applied and published.
   void Flush();
 
-  /// Drains the queue and the executor mailboxes, joins the coordinator
-  /// and every executor, and catches the primary plane up (idempotent).
+  /// Drains the queue and the executor mailboxes, then joins the
+  /// coordinator and every executor (idempotent).
   void Stop();
 
   /// First error reported by the coordinator (sticky; batches submitted
@@ -166,10 +170,9 @@ class ShardedIngestor {
   class ShardExecutor;
 
   /// One routed slice travelling from the coordinator to a shard
-  /// executor. The plane buffer it points at stays immutable until every
-  /// shard of its drain completed (the ring acquisition guarantees it).
+  /// executor, with its drain's feature view and dirty columns.
   struct SliceTask {
-    const FeaturePlane* plane = nullptr;
+    std::shared_ptr<const FeatureView> features;
     std::shared_ptr<const std::vector<size_t>> dirty_columns;
     ServeDelta slice;
     size_t submitted_batches = 0;
@@ -179,28 +182,23 @@ class ShardedIngestor {
   /// Completion bookkeeping of one dispatched drain.
   struct DrainTicket {
     uint64_t seq = 0;
-    size_t buffer = 0;
     size_t remaining = 0;   // shards still absorbing
     size_t submitted = 0;   // Submit() calls this drain coalesces
   };
 
   void WorkerLoop();
-  /// Deterministic path: validate → advance EVERY plane buffer → refresh
-  /// the primary → route → shard applies, sequential on this thread.
+  /// Deterministic path: validate → apply + refresh the plane → route →
+  /// shard applies, sequential on this thread.
   Status ApplyMerged(const ServeDelta& merged, size_t submitted_batches);
-  /// Pipelined path: acquire the drain's ring buffer (blocking while it
-  /// is still being absorbed), replay missed drains onto it, prepare the
-  /// new drain and hand the slices to the executors. Returns without
+  /// Pipelined path: wait for a free in-flight slot, prepare the drain on
+  /// the plane and hand the slices to the executors. Returns without
   /// waiting for the absorbs.
   Status PrepareDrain(const ServeDelta& merged, size_t submitted_batches);
-  /// Replays graph deltas the buffer missed while other buffers ran.
-  void CatchUpBuffer(size_t buffer);
-  void TrimHistory();
   /// Executor callback: a shard finished (or skipped) drain `seq`.
   void OnSliceDone(uint64_t seq, const Status& status);
 
   IngestorOptions options_;
-  FeaturePlane plane_;  // ring_[0]; the buffer tests/readers introspect
+  FeaturePlane plane_;
   /// Submitted-but-unpublished batches; null when metrics are detached.
   Gauge* epoch_lag_ = nullptr;
   Gauge* pipeline_inflight_ = nullptr;   // "ingest.pipeline.depth"
@@ -209,30 +207,18 @@ class ShardedIngestor {
   std::vector<std::unique_ptr<ModelShard>> shards_;
   std::unique_ptr<ShardRouter> router_;
   size_t next_global_id_ = 0;
-
-  // The plane ring (built at Start): pipeline_depth extra clones of the
-  // primary plane, used round-robin by drain sequence number.
-  std::vector<std::unique_ptr<FeaturePlane>> clone_planes_;
-  std::vector<FeaturePlane*> ring_;
-  std::vector<uint64_t> ring_applied_;   // last drain seq each buffer holds
-  std::vector<bool> ring_busy_;          // being absorbed (guarded by mu_)
-  // Committed drains a stale buffer may still need to replay; trimmed to
-  // min(ring_applied_), so it never holds more than ring_.size() entries
-  // in background operation.
-  std::deque<std::pair<uint64_t, PairDelta>> graph_history_;
-  uint64_t drain_seq_ = 0;               // committed drains
+  uint64_t drain_seq_ = 0;               // dispatched background drains
 
   // Persistent per-shard absorb threads (live between StartBackground
   // and Stop).
   std::vector<std::unique_ptr<ShardExecutor>> executors_;
   std::deque<DrainTicket> tickets_;      // guarded by mu_
 
-  // Coordinator queue (same discipline as DeltaIngestor's).
+  // Coordinator queue.
   std::thread worker_;
   mutable std::mutex mu_;
   std::condition_variable cv_;           // queue not empty / stopping
-  std::condition_variable idle_cv_;      // queue drained + drains landed
-  std::condition_variable plane_free_cv_;   // a ring buffer was released
+  std::condition_variable progress_cv_;  // a drain retired / queue drained
   std::condition_variable queue_space_cv_;  // Submit backpressure
   std::deque<ServeDelta> queue_;
   size_t in_flight_ = 0;                 // batches drained, not published

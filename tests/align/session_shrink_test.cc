@@ -139,7 +139,7 @@ TEST(SessionShrinkTest, IndefiniteDowndateFallsBackToExactlyOneRefactor) {
   // deterministically, not by luck of rounding.
   const size_t grown_id = f.x.rows();
   f.candidates.Add(9, 3);
-  index.SyncWithCandidates(f.pair);
+  index.SyncWithCandidates(index.users_first(), index.users_second());
   Matrix huge(1, 2);
   huge(0, 0) = 1.0e9;
   huge(0, 1) = 0.0;
@@ -167,7 +167,7 @@ TEST(SessionShrinkTest, IndefiniteDowndateFallsBackToExactlyOneRefactor) {
   }
   const size_t next_id = f.x.rows();
   f.candidates.Add(3, 7);
-  index.SyncWithCandidates(f.pair);
+  index.SyncWithCandidates(index.users_first(), index.users_second());
   Matrix normal(1, 2);
   normal(0, 0) = 0.1;
   normal(0, 1) = 1.0;

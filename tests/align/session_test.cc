@@ -299,7 +299,7 @@ TEST(AlignmentSessionTest, GrownSessionMatchesFreshSessionWithinTolerance) {
     new_rows(r, 0) = rng.Normal(0.4, 0.1);
     new_rows(r, 1) = 1.0;
   }
-  index.SyncWithCandidates(f.pair);
+  index.SyncWithCandidates(index.users_first(), index.users_second());
   x.AppendRows(new_rows);
   ASSERT_TRUE(grown.value().AbsorbAppendedRows(old_rows).ok());
   // And one replaced row on top.

@@ -139,10 +139,12 @@ TEST(IncidenceIndexTest, SyncWithCandidatesIndexesAppendedLinks) {
   ASSERT_TRUE(pair.ApplyDelta(delta).ok());
   size_t id_a = c.Add(3, 3);
   size_t id_b = c.Add(0, 3);
-  index.SyncWithCandidates(pair);
+  index.SyncWithCandidates(pair.first().NodeCount(NodeType::kUser),
+                           pair.second().NodeCount(NodeType::kUser));
 
   EXPECT_EQ(index.candidate_count(), 7u);
   EXPECT_EQ(index.users_first(), 4u);
+  EXPECT_EQ(index.users_second(), 4u);
   ASSERT_EQ(index.LinksOfFirst(3).size(), 1u);
   EXPECT_EQ(index.LinksOfFirst(3)[0], id_a);
   ASSERT_EQ(index.LinksOfSecond(3).size(), 2u);
@@ -156,6 +158,35 @@ TEST(IncidenceIndexTest, SyncWithCandidatesIndexesAppendedLinks) {
   std::vector<size_t> conflicts = index.ConflictingLinks(id_b);
   EXPECT_TRUE(std::find(conflicts.begin(), conflicts.end(), id_a) !=
               conflicts.end());
+
+  // The counts are all a sync reads: universes grown past any graph the
+  // index has seen size the per-user lists (new users start empty), with
+  // no pair involved at all.
+  size_t id_c = c.Add(5, 0);
+  index.SyncWithCandidates(6, 5);
+  EXPECT_EQ(index.users_first(), 6u);
+  EXPECT_EQ(index.users_second(), 5u);
+  EXPECT_TRUE(index.LinksOfFirst(4).empty());
+  EXPECT_TRUE(index.LinksOfSecond(4).empty());
+  ASSERT_EQ(index.LinksOfFirst(5).size(), 1u);
+  EXPECT_EQ(index.LinksOfFirst(5)[0], id_c);
+  EXPECT_EQ(index.LinksOfSecond(0).back(), id_c);
+  EXPECT_EQ(index.candidate_count(), 8u);
+  // Universes only grow.
+  EXPECT_DEATH(index.SyncWithCandidates(5, 5), "only grow");
+}
+
+TEST(IncidenceIndexTest, ExplicitUniverseConstructorMatchesPairConstructor) {
+  AlignedPair pair = MakePair();
+  CandidateLinkSet c = MakeCandidates();
+  IncidenceIndex from_pair(pair, c);
+  IncidenceIndex from_counts(3, 3, c);
+  EXPECT_EQ(from_counts.users_first(), from_pair.users_first());
+  EXPECT_EQ(from_counts.users_second(), from_pair.users_second());
+  for (NodeId u = 0; u < 3; ++u) {
+    EXPECT_EQ(from_counts.LinksOfFirst(u), from_pair.LinksOfFirst(u));
+    EXPECT_EQ(from_counts.LinksOfSecond(u), from_pair.LinksOfSecond(u));
+  }
 }
 
 TEST(IncidenceIndexDeathTest, OutOfRangeEndpointDies) {

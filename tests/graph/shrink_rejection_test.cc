@@ -158,7 +158,7 @@ TEST(ShrinkRejectionTest, IncidenceRemovalValidatesAtomically) {
 
   // The index keeps growing normally after a shrink cycle.
   candidates.Add(2, 2);
-  index.SyncWithCandidates(pair);
+  index.SyncWithCandidates(index.users_first(), index.users_second());
   EXPECT_EQ(index.candidate_count(), 3u);
   EXPECT_EQ(index.LinksOfFirst(2).size(), 1u);
 }

@@ -23,6 +23,7 @@
 #include "src/metadiagram/features.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/serve/plane_reference.h"
 
 namespace activeiter {
 namespace {
@@ -46,21 +47,24 @@ DeltaStream ChurnStream(uint64_t seed, double churn_fraction) {
   return std::move(stream).ValueOrDie();
 }
 
-/// Batch rebuild of the full pipeline over the ingestor's current state.
+/// Batch rebuild of the full pipeline over a single-shard ingestor's
+/// current state; `train_anchors` is the stream's fixed bridge L+.
 struct BatchRebuild {
   Matrix x;
   AlignmentResult result;
 
-  BatchRebuild(const DeltaIngestor& ingestor, double c) {
-    FeatureExtractor extractor(ingestor.pair(), ingestor.train_anchors());
-    x = extractor.Extract(ingestor.candidates());
-    IncidenceIndex index(ingestor.pair(), ingestor.candidates());
+  BatchRebuild(const ShardedIngestor& ingestor,
+               const std::vector<AnchorLink>& train_anchors, double c) {
+    const CandidateLinkSet& candidates = ingestor.shard(0).candidates();
+    FeatureExtractor extractor(ingestor.pair(), train_anchors);
+    x = extractor.Extract(candidates);
+    IncidenceIndex index(ingestor.pair(), candidates);
     auto session = AlignmentSession::Create(x, index, c);
     EXPECT_TRUE(session.ok());
-    std::vector<Pin> pins(ingestor.candidates().size(), Pin::kFree);
-    for (const AnchorLink& a : ingestor.train_anchors()) {
-      for (size_t id = 0; id < ingestor.candidates().size(); ++id) {
-        const auto& [u1, u2] = ingestor.candidates().link(id);
+    std::vector<Pin> pins(candidates.size(), Pin::kFree);
+    for (const AnchorLink& a : train_anchors) {
+      for (size_t id = 0; id < candidates.size(); ++id) {
+        const auto& [u1, u2] = candidates.link(id);
         if (u1 == a.u1 && u2 == a.u2) pins[id] = Pin::kPositive;
       }
     }
@@ -82,9 +86,9 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
   }
   ASSERT_GT(stream_removals, 0u);
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
+  const AlignmentService& service = ingestor.shard_service(0);
   ASSERT_TRUE(ingestor.Start().ok());
   EXPECT_EQ(ingestor.stats().full_factorisations, 1u);
 
@@ -101,12 +105,13 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
     auto snap = service.snapshot();
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->epoch, b + 1);
-    ASSERT_EQ(snap->size(), ingestor.candidates().size());
+    ASSERT_EQ(snap->size(), ingestor.shard(0).candidates().size());
 
     // 1. X is bitwise identical to a from-scratch extraction.
-    BatchRebuild rebuild(ingestor, 1.0);
-    ASSERT_EQ(rebuild.x.rows(), ingestor.design().rows());
-    EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, ingestor.design()), 0.0)
+    const Matrix& design = ingestor.shard(0).design();
+    BatchRebuild rebuild(ingestor, s.train_anchors, 1.0);
+    ASSERT_EQ(rebuild.x.rows(), design.rows());
+    EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, design), 0.0)
         << "epoch " << b + 1;
 
     // 2. Scores agree up to update/downdate rounding; labels exactly.
@@ -130,7 +135,7 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
   EXPECT_GT(stats.rows_appended, stats.rows_removed);
 }
 
-TEST(ChurnEquivalenceTest, SingleShardShardedChurnBitwiseEqualsUnsharded) {
+TEST(ChurnEquivalenceTest, SingleShardShardedChurnBitwiseEqualsPlaneReference) {
   DeltaStream s = ChurnStream(9, 0.25);
   DeltaStream s_copy = ChurnStream(9, 0.25);
   size_t stream_removals = 0;
@@ -139,9 +144,8 @@ TEST(ChurnEquivalenceTest, SingleShardShardedChurnBitwiseEqualsUnsharded) {
   }
   ASSERT_GT(stream_removals, 0u);
 
-  AlignmentService service;
-  DeltaIngestor plain(std::move(s.initial), s.train_anchors,
-                      std::move(s.initial_candidates), &service);
+  PlaneReference plain(std::move(s.initial), s.train_anchors,
+                       std::move(s.initial_candidates));
   ASSERT_TRUE(plain.Start().ok());
 
   IngestorOptions options;  // one shard
@@ -155,11 +159,14 @@ TEST(ChurnEquivalenceTest, SingleShardShardedChurnBitwiseEqualsUnsharded) {
   }
 
   // Removal routing through the shard layer changes nothing: the one
-  // shard's model is bit-for-bit the unsharded ingestor's.
-  ASSERT_EQ(sharded.shard(0).candidates().size(), plain.candidates().size());
-  EXPECT_EQ(Matrix::MaxAbsDiff(sharded.shard(0).design(), plain.design()),
+  // shard's model is bit-for-bit the plane + shard composition fed the
+  // unrouted batches.
+  ASSERT_EQ(sharded.shard(0).candidates().size(),
+            plain.shard().candidates().size());
+  EXPECT_EQ(Matrix::MaxAbsDiff(sharded.shard(0).design(),
+                               plain.shard().design()),
             0.0);
-  auto snap = service.snapshot();
+  auto snap = plain.service().snapshot();
   auto sharded_snap = sharded.shard_service(0).snapshot();
   ASSERT_EQ(snap->size(), sharded_snap->size());
   for (size_t i = 0; i < snap->size(); ++i) {
@@ -195,16 +202,16 @@ TEST(ChurnEquivalenceTest, MultiShardChurnRoutesRemovalsToOwningShard) {
 
 TEST(ChurnEquivalenceTest, RemovingUnknownCandidateRejectsWithoutMutating) {
   DeltaStream s = ChurnStream(17, 0.0);
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
+  const AlignmentService& service = ingestor.shard_service(0);
   ASSERT_TRUE(ingestor.Start().ok());
-  const size_t rows_before = ingestor.design().rows();
+  const size_t rows_before = ingestor.shard(0).design().rows();
 
   ServeDelta bad;
   bad.removed_candidates.emplace_back(NodeId{0}, NodeId{4000000});
   EXPECT_EQ(ingestor.ApplyOnce(bad).code(), StatusCode::kNotFound);
-  EXPECT_EQ(ingestor.design().rows(), rows_before);
+  EXPECT_EQ(ingestor.shard(0).design().rows(), rows_before);
   EXPECT_EQ(ingestor.stats().rows_removed, 0u);
   EXPECT_EQ(service.epoch(), 0u);
 

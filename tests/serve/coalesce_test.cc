@@ -1,8 +1,7 @@
 // Drain-time coalescing: a backlog of B submits collapses into ONE
-// applied batch, one realign and one published epoch — and the resulting
-// model is BITWISE the one ApplyOnce(MergeServeDeltas(backlog)) builds.
-// The legacy DrainPolicy::kPerDelta keeps the one-epoch-per-submit
-// cadence.
+// applied batch, one realign and one published epoch on every shard — and
+// the resulting model is BITWISE the one ApplyOnce(MergeServeDeltas(backlog))
+// builds. DrainPolicy::kPerDelta keeps the one-epoch-per-submit cadence.
 
 #include <utility>
 #include <vector>
@@ -28,51 +27,6 @@ DeltaStream CarvedStream(uint64_t seed) {
   auto stream = CarveDeltaStream(full.value(), carve);
   EXPECT_TRUE(stream.ok());
   return std::move(stream).ValueOrDie();
-}
-
-TEST(CoalesceTest, BacklogDrainsAsOneEpochBitwiseEqualToMergedApply) {
-  DeltaStream s = CarvedStream(61);
-  DeltaStream s_copy = CarvedStream(61);
-  const size_t batches = s.batches.size();
-
-  // Coalescing ingestor: enqueue the whole backlog BEFORE the worker
-  // starts, so the first wake-up deterministically sees all of it.
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
-  ASSERT_TRUE(ingestor.Start().ok());
-  for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
-  ingestor.StartBackground();
-  ingestor.Flush();
-  ingestor.Stop();
-  ASSERT_TRUE(ingestor.background_status().ok());
-
-  const IngestStats stats = ingestor.stats();
-  EXPECT_EQ(stats.deltas_applied, batches);
-  EXPECT_EQ(stats.coalesced_batches, batches - 1);
-  EXPECT_EQ(stats.epochs_published, 2u);  // epoch 0 + the single drain
-  EXPECT_EQ(service.epoch(), 1u);
-  EXPECT_EQ(stats.full_factorisations, 1u);
-
-  // Twin: the merged backlog applied synchronously — bit-for-bit the
-  // same graph, design matrix and published model.
-  AlignmentService twin_service;
-  DeltaIngestor twin(std::move(s_copy.initial), s_copy.train_anchors,
-                     std::move(s_copy.initial_candidates), &twin_service);
-  ASSERT_TRUE(twin.Start().ok());
-  ASSERT_TRUE(
-      twin.ApplyOnce(MergeServeDeltas(std::move(s_copy.batches))).ok());
-
-  ASSERT_EQ(twin.candidates().size(), ingestor.candidates().size());
-  EXPECT_EQ(Matrix::MaxAbsDiff(twin.design(), ingestor.design()), 0.0);
-  auto snap = service.snapshot();
-  auto twin_snap = twin_service.snapshot();
-  ASSERT_EQ(snap->size(), twin_snap->size());
-  for (size_t i = 0; i < snap->size(); ++i) {
-    EXPECT_EQ(snap->scores(i), twin_snap->scores(i));
-    EXPECT_EQ(snap->y(i), twin_snap->y(i));
-    EXPECT_EQ(snap->links[i], twin_snap->links[i]);
-  }
 }
 
 TEST(CoalesceTest, ShardedBacklogCoalescesOnceAcrossAllShards) {
@@ -114,6 +68,7 @@ TEST(CoalesceTest, ShardedBacklogCoalescesOnceAcrossAllShards) {
     for (size_t j = 0; j < snap->size(); ++j) {
       EXPECT_EQ(snap->scores(j), twin_snap->scores(j));
       EXPECT_EQ(snap->y(j), twin_snap->y(j));
+      EXPECT_EQ(snap->links[j], twin_snap->links[j]);
     }
   }
 }
@@ -122,11 +77,10 @@ TEST(CoalesceTest, PerDeltaPolicyKeepsOneEpochPerSubmit) {
   DeltaStream s = CarvedStream(71);
   const size_t batches = s.batches.size();
 
-  AlignmentService service;
   IngestorOptions options;
   options.drain = DrainPolicy::kPerDelta;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   EXPECT_EQ(ingestor.options().drain, DrainPolicy::kPerDelta);
   for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
@@ -139,7 +93,7 @@ TEST(CoalesceTest, PerDeltaPolicyKeepsOneEpochPerSubmit) {
   EXPECT_EQ(stats.deltas_applied, batches);
   EXPECT_EQ(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.epochs_published, batches + 1);
-  EXPECT_EQ(service.epoch(), batches);
+  EXPECT_EQ(ingestor.backend().epoch(), batches);
 }
 
 TEST(CoalesceTest, MergePreservesSubmissionOrder) {

@@ -1,9 +1,10 @@
-// Concurrency hammer: N reader threads pound the query API while the
-// background ingestor applies batches and swaps epochs under them. Run
-// under TSan (the dedicated CI job) this validates the snapshot-swap
-// protocol; under any build it checks reader-visible invariants — epochs
-// never regress, every observed snapshot is internally consistent, and
-// readers holding a pre-swap snapshot keep a coherent world.
+// Concurrency hammer: N reader threads pound the query API (backend())
+// while the background coordinator applies batches and swaps epochs under
+// them. Run under TSan (the dedicated CI job) this validates the
+// snapshot-swap protocol; under any build it checks reader-visible
+// invariants — epochs never regress, every observed snapshot is
+// internally consistent, and readers holding a pre-swap snapshot keep a
+// coherent world.
 
 #include <atomic>
 #include <thread>
@@ -15,8 +16,7 @@
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
 #include "src/serve/delta_stream.h"
-#include "src/serve/ingestor.h"
-#include "src/serve/service.h"
+#include "src/serve/shard.h"
 
 namespace activeiter {
 namespace {
@@ -33,10 +33,11 @@ TEST(ConcurrentHammerTest, QueriesRaceIngestSafely) {
   ASSERT_TRUE(stream.ok());
   DeltaStream& s = stream.value();
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
   ASSERT_TRUE(ingestor.Start().ok());
+  const QueryBackend& backend = ingestor.backend();
+  const AlignmentService& service = ingestor.shard_service(0);
 
   constexpr size_t kReaders = 4;
   std::atomic<bool> stop{false};
@@ -49,13 +50,17 @@ TEST(ConcurrentHammerTest, QueriesRaceIngestSafely) {
       Rng rng(1000 + t);
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        auto snap = service.snapshot();
-        if (snap == nullptr) continue;
         // Epochs are monotone per reader.
-        if (snap->epoch < last_epoch) {
+        const uint64_t epoch = backend.epoch();
+        if (epoch < last_epoch) {
           violations.fetch_add(1, std::memory_order_relaxed);
         }
-        last_epoch = snap->epoch;
+        last_epoch = epoch;
+        auto snap = service.snapshot();
+        if (snap == nullptr || snap->epoch < epoch) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
         // Snapshots are internally consistent however mid-swap we load.
         if (snap->scores.size() != snap->links.size() ||
             snap->y.size() != snap->links.size()) {
@@ -64,10 +69,10 @@ TEST(ConcurrentHammerTest, QueriesRaceIngestSafely) {
         NodeId u1 = static_cast<NodeId>(
             rng.UniformInt(snap->users_first() > 0 ? snap->users_first()
                                                    : 1));
-        auto top = service.TopKFor(u1, 3);
+        auto top = backend.TopKFor(u1, 3);
         if (top.ok()) {
           for (const ScoredLink& link : top.value()) {
-            auto scored = service.ScorePair(link.u1, link.u2);
+            auto scored = backend.ScorePair(link.u1, link.u2);
             // The pair may legitimately vanish only if the service swapped
             // between the two calls — and swaps only ever grow H, so a
             // NotFound here is a real violation.
@@ -96,9 +101,9 @@ TEST(ConcurrentHammerTest, QueriesRaceIngestSafely) {
   // every submit is applied, and drains = applied - coalesced.
   const IngestStats stats = ingestor.stats();
   EXPECT_EQ(stats.deltas_applied, s.batches.size());
-  EXPECT_GE(service.epoch(), 1u);
-  EXPECT_LE(service.epoch(), s.batches.size());
-  EXPECT_EQ(stats.epochs_published, service.epoch() + 1);
+  EXPECT_GE(backend.epoch(), 1u);
+  EXPECT_LE(backend.epoch(), s.batches.size());
+  EXPECT_EQ(stats.epochs_published, backend.epoch() + 1);
   EXPECT_EQ(stats.deltas_applied - stats.coalesced_batches,
             stats.epochs_published - 1);
   EXPECT_EQ(stats.full_factorisations, 1u);

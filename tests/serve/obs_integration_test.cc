@@ -1,7 +1,7 @@
 // Observability through the real ingest pipeline: every stage emits its
 // span, the coordinator's epoch-lag gauge settles back to zero after
-// Flush, and the query surface populates its latency histograms — for
-// both the unsharded DeltaIngestor and the sharded coordinator.
+// Flush, and the query surface populates its latency histograms at both
+// the router and the per-shard service level.
 
 #include <map>
 #include <sstream>
@@ -38,68 +38,9 @@ void ExpectStage(const std::map<std::string, Tracer::StageTotal>& totals,
   EXPECT_EQ(totals.count(name), 1u) << "no span recorded for " << name;
 }
 
-TEST(ObsIntegrationTest, DeltaIngestorEmitsEveryStageAndSettlesLag) {
-  DeltaStream s = CarvedStream(61);
-  const size_t batches = s.batches.size();
-  MetricsRegistry registry;
-  Tracer tracer;
-  IngestorOptions options;
-  options.obs.metrics = &registry;
-  options.obs.tracer = &tracer;
-
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
-  ASSERT_TRUE(ingestor.Start().ok());
-  ingestor.StartBackground();
-  for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
-  ingestor.Flush();
-
-  // Every submitted batch is applied (or discarded) once Flush returns,
-  // so the lag gauge must read 0 — the CI smoke asserts the same thing
-  // through serve_cli's --metrics_json.
-  const Gauge* lag = registry.FindGauge("serve.ingest.epoch_lag");
-  ASSERT_NE(lag, nullptr);
-  EXPECT_EQ(lag->value(), 0);
-
-  ingestor.Stop();
-  ASSERT_TRUE(ingestor.background_status().ok());
-
-  const auto totals = tracer.StageTotals();
-  ExpectStage(totals, "ingest.start");
-  ExpectStage(totals, "ingest.submit");
-  ExpectStage(totals, "ingest.drain_coalesce");
-  ExpectStage(totals, "ingest.plane_apply");
-  ExpectStage(totals, "ingest.plane_refresh");
-  ExpectStage(totals, "ingest.plane_extract");
-  ExpectStage(totals, "ingest.apply_slice");
-  ExpectStage(totals, "ingest.append_rows");
-  ExpectStage(totals, "ingest.realign");
-  ExpectStage(totals, "ingest.snapshot_publish");
-  EXPECT_EQ(totals.at("ingest.submit").count, batches);
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-
-  // Query-side histograms populate through the service surface.
-  ASSERT_TRUE(service.TopKFor(0, 4).ok());
-  (void)service.ScorePair(0, 1);
-  const Histogram* topk = registry.FindHistogram("serve.query.topk_us");
-  const Histogram* pair = registry.FindHistogram("serve.query.score_pair_us");
-  ASSERT_NE(topk, nullptr);
-  ASSERT_NE(pair, nullptr);
-  EXPECT_GE(topk->count(), 1u);
-  EXPECT_GE(pair->count(), 1u);
-  EXPECT_GT(topk->Percentile(0.99), 0.0);
-
-  // The registry dump carries the settled gauge and the histograms.
-  std::ostringstream json;
-  registry.WriteJson(json);
-  EXPECT_NE(json.str().find("\"serve.ingest.epoch_lag\": 0"),
-            std::string::npos);
-  EXPECT_NE(json.str().find("\"serve.query.topk_us\""), std::string::npos);
-}
-
 TEST(ObsIntegrationTest, ShardedIngestorEmitsCoordinatorStagesAndRouterLatency) {
   DeltaStream s = CarvedStream(67);
+  const size_t batches = s.batches.size();
   MetricsRegistry registry;
   Tracer tracer;
   IngestorOptions options;
@@ -114,6 +55,9 @@ TEST(ObsIntegrationTest, ShardedIngestorEmitsCoordinatorStagesAndRouterLatency) 
   for (ServeDelta& batch : s.batches) sharded.Submit(std::move(batch));
   sharded.Flush();
 
+  // Every submitted batch is applied (or discarded) once Flush returns,
+  // so the lag gauge must read 0 — the CI smoke asserts the same thing
+  // through serve_cli's --metrics_json.
   const Gauge* lag = registry.FindGauge("serve.ingest.epoch_lag");
   ASSERT_NE(lag, nullptr);
   EXPECT_EQ(lag->value(), 0);
@@ -134,9 +78,13 @@ TEST(ObsIntegrationTest, ShardedIngestorEmitsCoordinatorStagesAndRouterLatency) 
   ExpectStage(totals, "ingest.route");
   ExpectStage(totals, "ingest.plane_apply");
   ExpectStage(totals, "ingest.plane_refresh");
+  ExpectStage(totals, "ingest.plane_extract");
   ExpectStage(totals, "ingest.apply_slice");
+  ExpectStage(totals, "ingest.append_rows");
   ExpectStage(totals, "ingest.realign");
   ExpectStage(totals, "ingest.snapshot_publish");
+  EXPECT_EQ(totals.at("ingest.submit").count, batches);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
   // Every background drain runs through the pipelined prepare stage.
   ExpectStage(totals, "ingest.pipeline.prepare");
   EXPECT_GE(totals.at("ingest.pipeline.prepare").count, 1u);
@@ -157,7 +105,20 @@ TEST(ObsIntegrationTest, ShardedIngestorEmitsCoordinatorStagesAndRouterLatency) 
   // The fan-out hits every shard, so the service histogram sees at least
   // as many samples as the router one.
   EXPECT_GE(service_topk->count(), router_topk->count());
+  EXPECT_GT(service_topk->Percentile(0.99), 0.0);
   ASSERT_NE(registry.FindHistogram("serve.router.score_pair_us"), nullptr);
+  // ScorePair goes to the owning shard's service.
+  const Histogram* service_pair =
+      registry.FindHistogram("serve.query.score_pair_us");
+  ASSERT_NE(service_pair, nullptr);
+  EXPECT_GE(service_pair->count(), 1u);
+
+  // The registry dump carries the settled gauge and the histograms.
+  std::ostringstream json;
+  registry.WriteJson(json);
+  EXPECT_NE(json.str().find("\"serve.ingest.epoch_lag\": 0"),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"serve.query.topk_us\""), std::string::npos);
 
   // The trace itself mentions every coordinator stage.
   std::ostringstream trace_json;
@@ -198,9 +159,8 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
   const uint64_t rows_removed_before = rows_removed->value();
   const uint64_t downdates_before = downdates->value();
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   for (ServeDelta& batch : s.batches) {
     ASSERT_TRUE(ingestor.ApplyOnce(std::move(batch)).ok());
@@ -222,16 +182,15 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
 TEST(ObsIntegrationTest, DetachedIngestRegistersNothing) {
   DeltaStream s = CarvedStream(71);
   IngestorOptions options;  // obs defaults to detached
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   ASSERT_TRUE(
       ingestor.ApplyOnce(MergeServeDeltas(std::move(s.batches))).ok());
-  ASSERT_TRUE(service.TopKFor(0, 4).ok());
+  ASSERT_TRUE(ingestor.backend().TopKFor(0, 4).ok());
   // Nothing to assert on a registry (there is none) — the contract is
   // simply that the fully-detached pipeline runs and serves.
-  EXPECT_EQ(service.epoch(), 1u);
+  EXPECT_EQ(ingestor.backend().epoch(), 1u);
 }
 
 }  // namespace

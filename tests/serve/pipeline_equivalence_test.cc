@@ -1,13 +1,13 @@
 // The pipelined coordinator, proven bitwise epoch by epoch:
 //
-//   depth ≥ 1   the double-buffered plane ring + persistent shard
-//               executors publish EXACTLY the epochs the deterministic
-//               ApplyOnce coordinator publishes — same links, scores,
-//               labels, weights and design matrices at 1, 2 and 4 shards,
-//               on grow-only AND churn streams, with factor counters
-//               pinning zero extra refactorisations.
-//   depth = 0   the serial coordinator survives (one plane buffer, the
-//               buffer wait is the barrier) and reports 0 stalls and
+//   depth ≥ 1   the one plane handing per-drain FeatureViews to
+//               persistent shard executors publishes EXACTLY the epochs
+//               the deterministic ApplyOnce coordinator publishes — same
+//               links, scores, labels, weights and design matrices at 1,
+//               2 and 4 shards, on grow-only AND churn streams, with
+//               factor counters pinning zero extra refactorisations.
+//   depth = 0   the serial coordinator survives (one drain in flight, the
+//               slot wait is the barrier) and reports 0 stalls and
 //               max_inflight_planes = 1.
 //
 // The overlap itself is asserted through IngestStats::max_inflight_planes:
@@ -121,8 +121,8 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerialAtEveryEpoch) {
   EXPECT_EQ(stats.deltas_applied, kBatches);
   EXPECT_EQ(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.epochs_published, kBatches + 1);
-  // Zero extra refactorisations: the ring replays graph deltas, never
-  // model work.
+  // Zero extra refactorisations: pipelining overlaps plane work with
+  // model work, it never repeats model work.
   EXPECT_EQ(stats.full_factorisations, n);
   EXPECT_EQ(reference.stats().full_factorisations, n);
 }
@@ -208,7 +208,8 @@ TEST(PipelineEquivalenceTest, BackloggedPipelineOverlapsAndStaysBitwise) {
   // straight into the next take; absorbs span a realign + publish, so a
   // backlog this deep cannot retire every drain inside that window.)
   EXPECT_GE(stats.max_inflight_planes, 2u);
-  // The ring bounds the pipeline: never more than depth + 1 in flight.
+  // The slot wait bounds the pipeline: never more than depth + 1 in
+  // flight.
   EXPECT_LE(stats.max_inflight_planes, 2u);
 }
 
@@ -246,13 +247,13 @@ TEST(PipelineEquivalenceTest, DepthZeroIsSerialAndReportsNoOverlap) {
   ExpectAllShardsBitwiseEqual(reference, serial, "serial final epoch");
   const IngestStats stats = serial.stats();
   EXPECT_EQ(stats.deltas_applied, kBatches);
-  // The serial contract: one buffer, no backpressure accounting, never
+  // The serial contract: one slot, no backpressure accounting, never
   // more than one drain in flight.
   EXPECT_EQ(stats.pipeline_stalls, 0u);
   EXPECT_EQ(stats.max_inflight_planes, 1u);
 }
 
-TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
+TEST(PipelineEquivalenceTest, DepthTwoResumesDeterministicallyAfterStop) {
   constexpr size_t kBatches = 6;
   DeltaStream s_ref = CarvedStream(103, kBatches);
   DeltaStream s_deep = CarvedStream(103, kBatches);
@@ -267,10 +268,10 @@ TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
     ASSERT_TRUE(reference.ApplyOnce(batch).ok());
   }
 
-  // Depth 2 (three plane buffers): the first half runs pipelined with
-  // stale buffers replaying up to two missed drains, then Stop catches
-  // the primary up and the second half goes through ApplyOnce — the
-  // background → deterministic seam must also be bitwise.
+  // Depth 2 (three drains in flight): the first half runs pipelined,
+  // then Stop joins the executors and the second half goes through
+  // ApplyOnce on the same plane — the background → deterministic seam
+  // must also be bitwise.
   IngestorOptions deep_options = ref_options;
   deep_options.pipeline_depth = 2;
   deep_options.drain = DrainPolicy::kPerDelta;
@@ -288,7 +289,7 @@ TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
     ASSERT_TRUE(deep.ApplyOnce(s_deep.batches[b]).ok());
   }
 
-  ExpectAllShardsBitwiseEqual(reference, deep, "deep-ring final epoch");
+  ExpectAllShardsBitwiseEqual(reference, deep, "depth-2 final epoch");
   EXPECT_LE(deep.stats().max_inflight_planes, 3u);
   EXPECT_EQ(deep.stats().full_factorisations, 2u);
 }

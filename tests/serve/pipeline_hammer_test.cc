@@ -1,13 +1,14 @@
 // Pipelined-coordinator concurrency hammer: reader threads pound the
-// ShardRouter while the double-buffered coordinator runs with ACTIVE
+// ShardRouter while the pipelined coordinator runs with ACTIVE
 // backpressure — a submit queue capped at 2 forces the producer to block
 // on the shards, and per-delta drains keep both pipeline stages busy, so
 // TSan (the dedicated CI job picks this up via the serve_ regex) sees the
-// full hand-off surface: plane-ring acquisition/release, executor
-// mailboxes, per-shard snapshot swaps racing TopK readers, and the
-// Submit-side stall path. Under any build it checks reader-visible
-// invariants: the router's min-epoch never regresses, merged answers stay
-// in serving order, and ScorePair agrees with TopKFor's world.
+// full hand-off surface: in-flight slot acquisition/release, per-drain
+// FeatureView hand-off to the executors, executor mailboxes, per-shard
+// snapshot swaps racing TopK readers, and the Submit-side stall path.
+// Under any build it checks reader-visible invariants: the router's
+// min-epoch never regresses, merged answers stay in serving order, and
+// ScorePair agrees with TopKFor's world.
 
 #include <atomic>
 #include <thread>
@@ -119,7 +120,7 @@ TEST(PipelineHammerTest, ReadersRacePipelinedIngestUnderBackpressure) {
   EXPECT_GE(backend.epoch(), 1u);
   EXPECT_EQ(stats.full_factorisations, 2u);
   // Backpressure fired: a capped queue fed 10 rapid submits must block
-  // the producer at least once, and the ring bounds the drains in
+  // the producer at least once, and the slot wait bounds the drains in
   // flight at depth + 1.
   EXPECT_GE(stats.pipeline_stalls, 1u);
   EXPECT_LE(stats.max_inflight_planes, 2u);

@@ -1,13 +1,15 @@
-// The sharding semantics, proven epoch by epoch:
+// The sharding semantics, proven epoch by epoch against a test-local
+// reference (tests/serve/plane_reference.h: one FeaturePlane + one
+// ModelShard applied synchronously, with no routing in between):
 //
-//   N = 1      ShardedIngestor is BITWISE the unsharded DeltaIngestor —
-//              same design matrix, scores, labels, weights, link ids and
-//              Top-K answers at every epoch.
-//   N ∈ {2,4}  every shard is BITWISE an independent DeltaIngestor run
-//              over that shard's slice (the shared FeaturePlane computes
-//              feature state from the graph alone, never from the
-//              candidate set), and the router serves the per-shard models
-//              under stable global link ids.
+//   N = 1      ShardedIngestor is BITWISE the unrouted plane + shard
+//              composition — same design matrix, scores, labels,
+//              weights, link ids and Top-K answers at every epoch.
+//   N ∈ {2,4}  every shard is BITWISE an independent plane + shard run
+//              over that shard's slice, fed the routed sub-batches (the
+//              shared FeaturePlane computes feature state from the graph
+//              alone, never from the candidate set), and the router
+//              serves the per-shard models under stable global link ids.
 //
 // Together these pin down exactly what sharding changes (the training
 // slice of the PU alternation) and what it must never change (features,
@@ -25,6 +27,7 @@
 #include "src/graph/partition.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/serve/plane_reference.h"
 
 namespace activeiter {
 namespace {
@@ -58,13 +61,13 @@ void ExpectSnapshotsBitwiseEqual(const ModelSnapshot& a,
   }
 }
 
-TEST(ShardedEquivalenceTest, SingleShardIsBitwiseTheUnshardedIngestor) {
+TEST(ShardedEquivalenceTest, SingleShardIsBitwiseTheUnroutedReference) {
   DeltaStream s = CarvedStream(31);
   DeltaStream s_copy = CarvedStream(31);
 
-  AlignmentService plain_service;
-  DeltaIngestor plain(std::move(s.initial), s.train_anchors,
-                      std::move(s.initial_candidates), &plain_service);
+  PlaneReference plain(std::move(s.initial), s.train_anchors,
+                       std::move(s.initial_candidates));
+  const AlignmentService& plain_service = plain.service();
   ASSERT_TRUE(plain.Start().ok());
 
   ShardedIngestor sharded(std::move(s_copy.initial), s_copy.train_anchors,
@@ -110,16 +113,18 @@ TEST(ShardedEquivalenceTest, SingleShardIsBitwiseTheUnshardedIngestor) {
       ASSERT_TRUE(sharded.ApplyOnce(s_copy.batches[b]).ok());
     }
   }
-  EXPECT_EQ(Matrix::MaxAbsDiff(plain.design(), sharded.shard(0).design()),
+  EXPECT_EQ(Matrix::MaxAbsDiff(plain.shard().design(),
+                               sharded.shard(0).design()),
             0.0);
-  // Drain-level stats line up with the unsharded run too.
-  EXPECT_EQ(sharded.stats().deltas_applied, plain.stats().deltas_applied);
+  // Drain-level stats line up with the reference too.
+  EXPECT_EQ(sharded.stats().deltas_applied,
+            plain.shard().stats().deltas_applied);
   EXPECT_EQ(sharded.stats().full_factorisations, 1u);
 }
 
 class ShardedVsIndependentTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
+TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentReference) {
   const size_t n = GetParam();
   DeltaStream s = CarvedStream(47);
   DeltaStream s_copy = CarvedStream(47);
@@ -127,17 +132,14 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
   IngestorOptions options;
   options.partition.num_shards = n;
 
-  // The reference fleet: one fully independent single-slice ingestor per
-  // shard, fed the identical routed sub-batches.
+  // The reference fleet: one fully independent plane + shard per slice,
+  // fed the identical routed sub-batches.
   std::vector<CandidateSlice> slices =
       PartitionCandidates(s.initial_candidates, options.partition);
-  std::vector<std::unique_ptr<AlignmentService>> ref_services;
-  std::vector<std::unique_ptr<DeltaIngestor>> reference;
+  std::vector<std::unique_ptr<PlaneReference>> reference;
   for (size_t i = 0; i < n; ++i) {
-    ref_services.push_back(std::make_unique<AlignmentService>());
-    reference.push_back(std::make_unique<DeltaIngestor>(
-        s.initial, s.train_anchors, std::move(slices[i].links),
-        ref_services.back().get(), options,
+    reference.push_back(std::make_unique<PlaneReference>(
+        s.initial, s.train_anchors, std::move(slices[i].links), options,
         std::move(slices[i].global_ids)));
     ASSERT_TRUE(reference.back()->Start().ok());
   }
@@ -150,17 +152,18 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
   size_t next_global_id = s.initial_candidates.size();
   for (size_t b = 0; b <= s.batches.size(); ++b) {
     for (size_t i = 0; i < n; ++i) {
-      auto ref_snap = ref_services[i]->snapshot();
+      auto ref_snap = reference[i]->service().snapshot();
       auto shard_snap = sharded.shard_service(i).snapshot();
       ASSERT_NE(ref_snap, nullptr);
       ASSERT_NE(shard_snap, nullptr);
       ExpectSnapshotsBitwiseEqual(
           *ref_snap, *shard_snap,
           "shard " + std::to_string(i) + " epoch " + std::to_string(b));
-      EXPECT_EQ(Matrix::MaxAbsDiff(reference[i]->design(),
+      EXPECT_EQ(Matrix::MaxAbsDiff(reference[i]->shard().design(),
                                    sharded.shard(i).design()),
                 0.0);
-      EXPECT_EQ(reference[i]->global_ids(), sharded.shard(i).global_ids());
+      EXPECT_EQ(reference[i]->shard().global_ids(),
+                sharded.shard(i).global_ids());
     }
 
     // The router serves the per-shard models: spot-check that ScorePair
@@ -169,9 +172,9 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
     if (any_snap->size() > 0) {
       const auto& [u1, u2] = any_snap->links[0];
       auto via_router = sharded.backend().ScorePair(u1, u2);
-      auto via_shard =
-          ref_services[options.partition.ShardOfFirstUser(u1)]->ScorePair(
-              u1, u2);
+      auto via_shard = reference[options.partition.ShardOfFirstUser(u1)]
+                           ->service()
+                           .ScorePair(u1, u2);
       ASSERT_TRUE(via_router.ok());
       ASSERT_TRUE(via_shard.ok());
       EXPECT_EQ(via_router.value().link_id, via_shard.value().link_id);

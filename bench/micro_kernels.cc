@@ -231,7 +231,9 @@ void BM_DeltaFeatureVsFullRebuild(benchmark::State& state) {
         {RelationType::kFollow,
          static_cast<NodeId>(rng.UniformInt(cfg.shared_users)),
          static_cast<NodeId>(rng.UniformInt(cfg.shared_users))});
-    if (!pair.value().ApplyDelta(delta).ok()) {
+    const Status applied = full_rebuild ? pair.value().ApplyDelta(delta)
+                                        : delta_extractor.Apply(delta);
+    if (!applied.ok()) {
       state.SkipWithError("delta failed");
       return;
     }
@@ -239,7 +241,6 @@ void BM_DeltaFeatureVsFullRebuild(benchmark::State& state) {
       FeatureExtractor extractor(pair.value(), train);
       benchmark::DoNotOptimize(extractor.Extract(candidates));
     } else {
-      delta_extractor.NoteDelta(delta);
       benchmark::DoNotOptimize(delta_extractor.Extract(candidates));
     }
   }

@@ -1,9 +1,9 @@
 // Serve-layer ingest scaling: rows/second absorbed by the sharded
 // ingestor at 1, 2 and 4 shards on an identical carved delta stream.
 //
-// What the shape means: each drain refreshes the shared FeaturePlane once
-// (serial, graph-sized) and then realigns every shard's slice of H. The
-// realign/selection cost is superlinear in |H|, so splitting H across N
+// What the shape means: each drain refreshes the shared feature engine
+// once (serial, graph-sized) and then realigns every shard's slice of H.
+// The realign/selection cost is superlinear in |H|, so splitting H across N
 // shards shrinks the summed model work even on a single core; on a
 // multi-core host the per-shard fan-out stacks wall-clock parallelism on
 // top. Flat-or-falling throughput from 1 → 4 shards is a regression.

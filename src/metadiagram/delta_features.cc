@@ -48,9 +48,9 @@ std::vector<uint32_t> ChangedProductRows(const IncResult& left,
 }  // namespace
 
 DeltaFeatureExtractor::DeltaFeatureExtractor(
-    const AlignedPair& pair, std::vector<AnchorLink> train_anchors,
+    AlignedPair pair, std::vector<AnchorLink> train_anchors,
     FeatureExtractorOptions options)
-    : pair_(&pair),
+    : pair_(std::move(pair)),
       train_anchors_(std::move(train_anchors)),
       options_(options),
       catalog_(StandardDiagramCatalog(options.feature_set,
@@ -90,8 +90,14 @@ void DeltaFeatureExtractor::IndexShapes(const ExprPtr& node) {
 size_t DeltaFeatureExtractor::UniverseOf(NodeType type,
                                          NetworkSide side) const {
   const HeteroNetwork& net =
-      side == NetworkSide::kFirst ? pair_->first() : pair_->second();
+      side == NetworkSide::kFirst ? pair_.first() : pair_.second();
   return net.NodeCount(type);
+}
+
+Status DeltaFeatureExtractor::Apply(const PairDelta& delta) {
+  ACTIVEITER_RETURN_IF_ERROR(pair_.ApplyDelta(delta));
+  NoteDelta(delta);
+  return Status::OK();
 }
 
 void DeltaFeatureExtractor::NoteDelta(const PairDelta& delta) {
@@ -131,7 +137,7 @@ std::vector<size_t> DeltaFeatureExtractor::Refresh() {
   const RefreshStats before = stats_;  // registry delta published at exit
   ++stats_.refreshes;
 
-  auto new_ctx = std::make_unique<RelationContext>(*pair_, train_anchors_,
+  auto new_ctx = std::make_unique<RelationContext>(pair_, train_anchors_,
                                                    options_.pool);
   auto new_cache = std::make_unique<ProductPlanCache>();
   std::vector<std::string> dirty_sigs;  // splice candidates, decided below

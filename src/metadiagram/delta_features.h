@@ -103,11 +103,14 @@ class DeltaFeatureExtractor {
     size_t intermediates_row_updated = 0;  // dirty entries spliced in place
   };
 
-  /// `pair` must outlive the extractor and is observed through every
-  /// mutation the caller applies; `train_anchors` is the fixed bridge L+.
-  DeltaFeatureExtractor(const AlignedPair& pair,
+  /// Takes ownership of the graph state; every later change goes through
+  /// Apply(). `train_anchors` is the fixed bridge L+.
+  DeltaFeatureExtractor(AlignedPair pair,
                         std::vector<AnchorLink> train_anchors,
                         FeatureExtractorOptions options = {});
+
+  /// The graph the features are computed over.
+  const AlignedPair& pair() const { return pair_; }
 
   /// Feature names in column order (bias excluded).
   const std::vector<std::string>& feature_names() const { return names_; }
@@ -115,12 +118,12 @@ class DeltaFeatureExtractor {
   /// Number of feature columns including the trailing bias column.
   size_t dimension() const { return catalog_.size() + 1; }
 
-  /// Marks the relations touched by `delta` dirty. Call after
-  /// pair.ApplyDelta(delta); cheap — all recomputation happens in
+  /// Changes the graph atomically (nothing mutates on error) and marks the
+  /// relations it touches dirty. Cheap — all recomputation happens in
   /// Refresh().
-  void NoteDelta(const PairDelta& delta);
+  Status Apply(const PairDelta& delta);
 
-  /// Brings the engine up to date with every NoteDelta() since the last
+  /// Brings the engine up to date with every Apply() since the last
   /// call: rebuilds the relation context, migrates the plan cache
   /// (pad-or-drop), re-evaluates dirty diagrams, refreshes proximity
   /// tables. Returns the dirty feature column indices, ascending (empty
@@ -149,6 +152,8 @@ class DeltaFeatureExtractor {
     NetworkSide dst_side;
   };
 
+  /// Marks the relations touched by an applied `delta` dirty.
+  void NoteDelta(const PairDelta& delta);
   void IndexShapes(const ExprPtr& node);
   size_t UniverseOf(NodeType type, NetworkSide side) const;
   bool pending() const { return !initialised_ || pending_refresh_; }
@@ -164,7 +169,7 @@ class DeltaFeatureExtractor {
   /// process-wide "metadiagram.*" registry counters.
   void PublishRefreshStatsDelta(const RefreshStats& before);
 
-  const AlignedPair* pair_;
+  AlignedPair pair_;
   std::vector<AnchorLink> train_anchors_;
   FeatureExtractorOptions options_;
   std::vector<MetaDiagram> catalog_;

@@ -15,10 +15,6 @@ int StripeWave(size_t j, size_t count, size_t num_batches) {
   return 1 + static_cast<int>((j * num_batches) / count);
 }
 
-uint64_t PairKey(NodeId u1, NodeId u2) {
-  return (static_cast<uint64_t>(u1) << 32) | u2;
-}
-
 }  // namespace
 
 Status DeltaStreamOptions::Validate() const {

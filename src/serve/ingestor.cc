@@ -15,24 +15,11 @@ Counter& RowsRemovedCounter() {
   return *counter;
 }
 
-uint64_t PairKey(NodeId u1, NodeId u2) {
-  return (static_cast<uint64_t>(u1) << 32) | u2;
-}
-
 }  // namespace
 
 ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
   ServeDelta merged;
   if (deltas.empty()) return merged;
-  // Id mode (explicit global ids vs implicit numbering) comes from the
-  // first batch that brings candidates; graph-only batches are neutral.
-  bool with_ids = false;
-  for (const ServeDelta& d : deltas) {
-    if (!d.new_candidates.empty()) {
-      with_ids = !d.candidate_ids.empty();
-      break;
-    }
-  }
   // Fold one side's edge lists in, collapsing opposing operations: a
   // removal cancels one pending same-key addition and an addition cancels
   // one pending same-key removal (add-then-remove and remove-then-re-add
@@ -65,13 +52,6 @@ ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
     }
   };
   for (ServeDelta& d : deltas) {
-    ACTIVEITER_CHECK_MSG(
-        d.candidate_ids.empty() ||
-            d.candidate_ids.size() == d.new_candidates.size(),
-        "candidate_ids must be empty or parallel to new_candidates");
-    ACTIVEITER_CHECK_MSG(
-        d.new_candidates.empty() || !d.candidate_ids.empty() == with_ids,
-        "cannot merge batches that mix explicit and implicit link ids");
     merge_side(merged.graph.first, d.graph.first);
     merge_side(merged.graph.second, d.graph.second);
     // Anchor reveal/retraction collapse on the exact link.
@@ -94,49 +74,28 @@ ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
       }
     }
     // Candidate add/remove collapse on the endpoint pair: a removal
-    // cancels the pending addition (and its explicit id), a re-add cancels
-    // the pending removal (the candidate keeps its existing row/id).
-    for (size_t i = 0; i < d.new_candidates.size(); ++i) {
+    // cancels the pending addition, a re-add cancels the pending removal
+    // (the candidate keeps its existing row/id).
+    for (const auto& c : d.new_candidates) {
       auto it = std::find(merged.removed_candidates.begin(),
-                          merged.removed_candidates.end(),
-                          d.new_candidates[i]);
+                          merged.removed_candidates.end(), c);
       if (it != merged.removed_candidates.end()) {
         merged.removed_candidates.erase(it);
-        continue;
+      } else {
+        merged.new_candidates.push_back(c);
       }
-      merged.new_candidates.push_back(d.new_candidates[i]);
-      if (with_ids) merged.candidate_ids.push_back(d.candidate_ids[i]);
     }
     for (const auto& r : d.removed_candidates) {
-      bool cancelled = false;
-      for (size_t i = 0; i < merged.new_candidates.size(); ++i) {
-        if (merged.new_candidates[i] != r) continue;
-        merged.new_candidates.erase(merged.new_candidates.begin() + i);
-        if (with_ids) {
-          merged.candidate_ids.erase(merged.candidate_ids.begin() + i);
-        }
-        cancelled = true;
-        break;
+      auto it = std::find(merged.new_candidates.begin(),
+                          merged.new_candidates.end(), r);
+      if (it != merged.new_candidates.end()) {
+        merged.new_candidates.erase(it);
+      } else {
+        merged.removed_candidates.push_back(r);
       }
-      if (!cancelled) merged.removed_candidates.push_back(r);
     }
   }
   return merged;
-}
-
-IngestStats& IngestStats::operator+=(const IngestStats& other) {
-  epochs_published += other.epochs_published;
-  deltas_applied += other.deltas_applied;
-  coalesced_batches += other.coalesced_batches;
-  rows_appended += other.rows_appended;
-  rows_replaced += other.rows_replaced;
-  rows_removed += other.rows_removed;
-  rank_one_updates += other.rank_one_updates;
-  full_factorisations += other.full_factorisations;
-  pipeline_stalls += other.pipeline_stalls;
-  max_inflight_planes = std::max(max_inflight_planes,
-                                 other.max_inflight_planes);
-  return *this;
 }
 
 Status ValidateCandidateEndpoints(const AlignedPair& pair,
@@ -172,16 +131,12 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
       }()),
       global_ids_(std::move(global_ids)) {
   ACTIVEITER_CHECK(service != nullptr);
-  ACTIVEITER_CHECK_MSG(
-      global_ids_.empty() || global_ids_.size() == candidates_.size(),
-      "global_ids must be empty (identity) or cover the candidate set");
+  ACTIVEITER_CHECK_MSG(global_ids_.size() == candidates_.size(),
+                       "global_ids must cover the candidate set");
   for (size_t i = 1; i < global_ids_.size(); ++i) {
     ACTIVEITER_CHECK_MSG(global_ids_[i] > global_ids_[i - 1],
                          "global link ids must be strictly increasing");
   }
-  next_global_id_ =
-      global_ids_.empty() ? candidates_.size() : global_ids_.back() + 1;
-  if (!global_ids_.empty() && candidates_.empty()) next_global_id_ = 0;
   train_anchor_keys_.reserve(train_anchors.size() * 2);
   for (const AnchorLink& a : train_anchors) {
     train_anchor_keys_.insert(PairKey(a.u1, a.u2));
@@ -247,7 +202,7 @@ Status ModelShard::Publish() {
 
 Status ModelShard::ApplySlice(const FeatureView& features,
                               const std::vector<size_t>& dirty_columns,
-                              const ServeDelta& slice,
+                              const ShardSlice& slice,
                               size_t submitted_batches) {
   if (!started_) return Status::FailedPrecondition("Start() first");
   TraceSpan slice_span(options_.obs.tracer, "ingest.apply_slice");
@@ -258,25 +213,15 @@ Status ModelShard::ApplySlice(const FeatureView& features,
   const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
   const uint64_t rank1_before = CholeskyFactor::TotalRankOneUpdateCount();
 
-  // Global link ids are internal plumbing (assigned by the shard layer),
+  // Global link ids are internal plumbing (assigned by the coordinator),
   // so malformed ids are a programming error, not a Status.
-  ACTIVEITER_CHECK_MSG(
-      slice.candidate_ids.empty() ||
-          slice.candidate_ids.size() == slice.new_candidates.size(),
-      "candidate_ids must be empty or parallel to new_candidates");
-  if (!slice.candidate_ids.empty()) {
-    size_t last = next_global_id_;
-    for (size_t id : slice.candidate_ids) {
-      ACTIVEITER_CHECK_MSG(id >= last,
-                           "global link ids must be strictly increasing");
-      last = id + 1;
-    }
-    // Entering explicit-id mode: materialise the identity prefix the
-    // implicit mode stood for.
-    if (global_ids_.empty() && !candidates_.empty()) {
-      global_ids_.resize(candidates_.size());
-      for (size_t i = 0; i < global_ids_.size(); ++i) global_ids_[i] = i;
-    }
+  ACTIVEITER_CHECK_MSG(slice.added_ids.size() == slice.added.size(),
+                       "added_ids must be parallel to added");
+  size_t floor = global_ids_.empty() ? 0 : global_ids_.back() + 1;
+  for (size_t id : slice.added_ids) {
+    ACTIVEITER_CHECK_MSG(id >= floor,
+                         "global link ids must be strictly increasing");
+    floor = id + 1;
   }
 
   // Withdrawn candidates leave FIRST, so the replace/append passes below
@@ -285,11 +230,11 @@ Status ModelShard::ApplySlice(const FeatureView& features,
   // numerically indefinite downdate falls back to a single counted
   // refactorisation inside AbsorbRemovedRows.
   size_t removed_count = 0;
-  if (!slice.removed_candidates.empty()) {
+  if (!slice.removed.empty()) {
     TraceSpan span(options_.obs.tracer, "ingest.remove_coalesce");
     std::vector<size_t> ids;
-    ids.reserve(slice.removed_candidates.size());
-    for (const auto& [u1, u2] : slice.removed_candidates) {
+    ids.reserve(slice.removed.size());
+    for (const auto& [u1, u2] : slice.removed) {
       size_t found = CandidateLinkSet::kRemovedId;
       if (u1 < index_->users_first()) {
         for (size_t id : index_->LinksOfFirst(u1)) {
@@ -299,10 +244,8 @@ Status ModelShard::ApplySlice(const FeatureView& features,
           }
         }
       }
-      if (found == CandidateLinkSet::kRemovedId) {
-        return Status::NotFound(
-            "removal names a candidate pair this shard does not serve");
-      }
+      ACTIVEITER_CHECK_MSG(found != CandidateLinkSet::kRemovedId,
+                           "removal of a pair this shard does not serve");
       ids.push_back(found);
     }
     std::sort(ids.begin(), ids.end());
@@ -315,18 +258,16 @@ Status ModelShard::ApplySlice(const FeatureView& features,
     }
     index_->CompactWith(candidates_.Compact());
     x_.RemoveRows(ids);
-    if (!global_ids_.empty()) {
-      size_t next_removed = 0;
-      size_t write = 0;
-      for (size_t i = 0; i < global_ids_.size(); ++i) {
-        if (next_removed < ids.size() && ids[next_removed] == i) {
-          ++next_removed;
-          continue;
-        }
-        global_ids_[write++] = global_ids_[i];
+    size_t next_removed = 0;
+    size_t write = 0;
+    for (size_t i = 0; i < global_ids_.size(); ++i) {
+      if (next_removed < ids.size() && ids[next_removed] == i) {
+        ++next_removed;
+        continue;
       }
-      global_ids_.resize(write);
+      global_ids_[write++] = global_ids_[i];
     }
+    global_ids_.resize(write);
     removed_count = ids.size();
     RowsRemovedCounter().Add(removed_count);
   }
@@ -363,17 +304,11 @@ Status ModelShard::ApplySlice(const FeatureView& features,
   {
     // New candidates: feature rows straight from the proximity tables.
     TraceSpan span(options_.obs.tracer, "ingest.append_rows");
-    Matrix new_rows(slice.new_candidates.size(), features.dimension());
-    for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
-      const auto& [u1, u2] = slice.new_candidates[r];
+    Matrix new_rows(slice.added.size(), features.dimension());
+    for (size_t r = 0; r < slice.added.size(); ++r) {
+      const auto& [u1, u2] = slice.added[r];
       candidates_.Add(u1, u2);
-      const size_t global_id = slice.candidate_ids.empty()
-                                   ? next_global_id_
-                                   : slice.candidate_ids[r];
-      if (!global_ids_.empty() || !slice.candidate_ids.empty()) {
-        global_ids_.push_back(global_id);
-      }
-      next_global_id_ = global_id + 1;
+      global_ids_.push_back(slice.added_ids[r]);
       Vector row = features.RowFor(u1, u2);
       for (size_t j = 0; j < row.size(); ++j) new_rows(r, j) = row(j);
     }
@@ -394,7 +329,7 @@ Status ModelShard::ApplySlice(const FeatureView& features,
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.deltas_applied += submitted_batches;
     stats_.coalesced_batches += submitted_batches - 1;
-    stats_.rows_appended += slice.new_candidates.size();
+    stats_.rows_appended += slice.added.size();
     stats_.rows_replaced += replaced;
     stats_.rows_removed += removed_count;
     stats_.rank_one_updates +=

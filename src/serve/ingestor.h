@@ -2,23 +2,24 @@
 //
 // The write side is split along the axis that matters for sharding:
 //
-//   FeaturePlane    (feature_plane.h) — whole-graph state: aligned pair +
-//                                       delta feature engine. Cost scales
-//                                       with the GRAPH, not the candidates.
-//   ModelShard      (here)            — per-slice state: candidates,
-//                                       incidence, design matrix X,
-//                                       AlignmentSession, PU alternation,
-//                                       snapshot chain. Cost scales with
-//                                       the SLICE.
-//   ShardedIngestor (shard.h)         — the one ingest coordinator: a
-//                                       queue, one plane and N shards.
+//   DeltaFeatureExtractor (metadiagram/delta_features.h) — whole-graph
+//                         state: aligned pair + delta feature engine.
+//                         Cost scales with the GRAPH, not the candidates.
+//   ModelShard      (here) — per-slice state: candidates, incidence,
+//                         design matrix X, AlignmentSession, PU
+//                         alternation, snapshot chain. Cost scales with
+//                         the SLICE.
+//   ShardedIngestor (shard.h) — the one ingest coordinator: a queue, one
+//                         feature engine and N shards.
 //
 // A ServeDelta batch advances the write side in seven steps:
 //
-//   1. plane.Apply              (atomic graph change + dirty tokens; grows
-//                                AND shrinks — edge removals and anchor
-//                                retractions apply validate-then-commit)
-//   2. plane.Refresh + View     (only dirty diagrams recompute; clean
+//   1. validate + Apply         (endpoints and removals checked against
+//                                the served pairs, then one atomic graph
+//                                change + dirty tokens; grows AND shrinks —
+//                                edge removals and anchor retractions apply
+//                                validate-then-commit)
+//   2. Refresh + View           (only dirty diagrams recompute; clean
 //                                tables migrate via padding; the drain's
 //                                FeatureView snapshots the result)
 //   3. removed rows             (withdrawn candidates: one blocked rank-k
@@ -37,13 +38,13 @@
 //                                solves only, the factor is never rebuilt)
 //   7. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
-// Steps 1–2 are plane work (once per drain, however many shards); steps
-// 3–7 are shard work (ModelShard::ApplySlice, per slice, shard-parallel —
-// see shard.h). A shard reads only its drain's FeatureView, never the
-// plane or the live pair. After Start()'s single Prepare no full
-// factorisation ever runs again — stats().full_factorisations stays 1 per
-// shard, proven in the integration tests via
-// CholeskyFactor::TotalFactorCount.
+// Steps 1–2 are coordinator work (once per drain, however many shards);
+// steps 3–7 are shard work (ModelShard::ApplySlice, per slice,
+// shard-parallel — see shard.h). A shard reads only its drain's
+// FeatureView and its ShardSlice, never the feature engine or the live
+// pair. After Start()'s single Prepare no full factorisation ever runs
+// again — stats().full_factorisations stays 1 per shard, proven in the
+// integration tests via CholeskyFactor::TotalFactorCount.
 
 #ifndef ACTIVEITER_SERVE_INGESTOR_H_
 #define ACTIVEITER_SERVE_INGESTOR_H_
@@ -70,19 +71,15 @@ namespace activeiter {
 
 /// One ingest batch: graph growth plus the candidate pairs that start
 /// being served with it. Candidate endpoints may reference nodes added by
-/// the same batch. `candidate_ids`, when non-empty, carries the global
-/// link id of each new candidate (parallel to `new_candidates`, strictly
-/// increasing) — the sharded ingest path assigns ids at routing time so a
-/// candidate keeps one id no matter which shard serves it. When empty the
-/// ingestor numbers new candidates sequentially (the unsharded identity
-/// mapping).
+/// the same batch; the coordinator assigns each new candidate its global
+/// link id at routing time.
 struct ServeDelta {
   PairDelta graph;
   std::vector<std::pair<NodeId, NodeId>> new_candidates;
-  std::vector<size_t> candidate_ids;
   /// Candidate pairs withdrawn from serving (un-revealed). Identified by
   /// endpoint pair, not link id, so the sharded router can compute the
-  /// owning shard without an id map. Each pair must currently be served.
+  /// owning shard without an id map. Each pair must currently be served
+  /// and appear at most once.
   std::vector<std::pair<NodeId, NodeId>> removed_candidates;
 
   bool empty() const {
@@ -91,11 +88,21 @@ struct ServeDelta {
   }
 };
 
+/// One shard's share of a batch: only its candidate changes. Graph
+/// changes never reach a shard; it reads them through the drain's
+/// FeatureView.
+struct ShardSlice {
+  std::vector<std::pair<NodeId, NodeId>> added;
+  /// Global link id of each added pair (parallel to `added`, strictly
+  /// increasing).
+  std::vector<size_t> added_ids;
+  std::vector<std::pair<NodeId, NodeId>> removed;
+};
+
 /// Concatenates a burst of batches into one equivalent batch: node growth,
 /// edges, anchors and candidates in submission order. Applying the merged
 /// batch yields the same graph, candidate set and design matrix as
-/// applying the parts one by one — in one epoch instead of many. Either
-/// every input carries candidate_ids or none does (checked).
+/// applying the parts one by one — in one epoch instead of many.
 ///
 /// Opposing operations on the same key COLLAPSE during the merge: an edge
 /// removal cancels a pending same-key addition (and vice versa), an anchor
@@ -103,6 +110,11 @@ struct ServeDelta {
 /// removal cancels the pending addition of the same pair — so a
 /// remove-then-re-add churn burst costs nothing at absorption time.
 ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas);
+
+/// Key of a user pair in hashed pair sets: (u1 << 32) | u2.
+inline uint64_t PairKey(NodeId u1, NodeId u2) {
+  return (static_cast<uint64_t>(u1) << 32) | u2;
+}
 
 /// Knobs of the serving model.
 struct ServeOptions {
@@ -132,9 +144,6 @@ struct IngestorOptions {
   /// Shard layout: ShardedIngestor fans out over partition.num_shards
   /// slices.
   ShardPartition partition;
-  /// Default k for query front ends when the caller does not say (e.g.
-  /// serve_cli --topk 0).
-  size_t default_top_k = 10;
   /// Drains the coordinator may have in flight beyond the one the shards
   /// are absorbing: depth d allows d + 1 drains in flight, so drain N+1's
   /// graph apply + SpGEMM refresh runs WHILE the shards absorb drain N.
@@ -172,10 +181,6 @@ struct IngestStats {
   uint64_t max_inflight_planes = 0;   // high-water drains in flight; a
                                       // value ≥ 2 proves prepare/absorb
                                       // overlapped. Serial mode reports 1.
-
-  /// Element-wise sum (aggregating shard stats); `max_inflight_planes`
-  /// takes the max, not the sum.
-  IngestStats& operator+=(const IngestStats& other);
 };
 
 /// One shard's model state: a disjoint candidate slice with its own
@@ -187,9 +192,9 @@ class ModelShard {
  public:
   /// `train_anchors` is the fixed labeled bridge L+: candidates equal to a
   /// train anchor are pinned positive, everything else stays unlabeled
-  /// (the PU setting). `service` must outlive the shard. `global_ids`,
-  /// when non-empty, maps each initial candidate to its global link id
-  /// (empty means identity).
+  /// (the PU setting). `service` must outlive the shard. `global_ids`
+  /// maps each initial candidate to its global link id (parallel to
+  /// `candidates`, strictly increasing).
   ModelShard(CandidateLinkSet candidates, std::vector<size_t> global_ids,
              const std::vector<AnchorLink>& train_anchors,
              AlignmentService* service, IngestorOptions options);
@@ -205,18 +210,20 @@ class ModelShard {
   /// Applies this shard's slice of a batch against the drain's view:
   /// removed rows downdated out for the slice's withdrawn candidates,
   /// replaced rows for `dirty_columns`, appended rows for the slice's new
-  /// candidates, realign, publish. `submitted_batches` is the number of
-  /// Submit() calls the slice coalesces (1 for ApplyOnce).
+  /// candidates, realign, publish. Every removed pair must be served here
+  /// (the coordinator checks that before the graph moves; a miss is a
+  /// CHECK failure). `submitted_batches` is the number of Submit() calls
+  /// the slice coalesces (1 for ApplyOnce).
   Status ApplySlice(const FeatureView& features,
                     const std::vector<size_t>& dirty_columns,
-                    const ServeDelta& slice, size_t submitted_batches);
+                    const ShardSlice& slice, size_t submitted_batches);
 
   IngestStats stats() const;
 
   bool started() const { return started_; }
   const CandidateLinkSet& candidates() const { return candidates_; }
   const Matrix& design() const { return x_; }
-  /// Local candidate id → global link id (empty = identity).
+  /// Local candidate id → global link id.
   const std::vector<size_t>& global_ids() const { return global_ids_; }
   uint64_t epoch() const { return epoch_; }
 
@@ -235,7 +242,6 @@ class ModelShard {
   std::unique_ptr<AlignmentSession> session_;
   IterAligner aligner_;
   std::vector<size_t> global_ids_;
-  size_t next_global_id_ = 0;  // auto-numbering when deltas carry no ids
   uint64_t epoch_ = 0;
   bool started_ = false;
 

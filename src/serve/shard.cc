@@ -1,28 +1,25 @@
 #include "src/serve/shard.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 namespace activeiter {
 
-std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
+std::vector<ShardSlice> RouteServeDelta(const ServeDelta& delta,
                                         const ShardPartition& partition,
                                         size_t first_global_id) {
-  ACTIVEITER_CHECK_MSG(delta.candidate_ids.empty(),
-                       "incoming batches must not carry global link ids");
-  std::vector<ServeDelta> routed(partition.num_shards);
-  for (ServeDelta& r : routed) r.graph = delta.graph;
+  std::vector<ShardSlice> routed(partition.num_shards);
   // Removals are identified by endpoint pair, so the owning shard falls
   // out of the same first-endpoint rule that placed the candidate.
   for (const auto& [u1, u2] : delta.removed_candidates) {
-    routed[partition.ShardOfFirstUser(u1)].removed_candidates.emplace_back(
-        u1, u2);
+    routed[partition.ShardOfFirstUser(u1)].removed.emplace_back(u1, u2);
   }
   size_t global_id = first_global_id;
   for (const auto& [u1, u2] : delta.new_candidates) {
-    ServeDelta& r = routed[partition.ShardOfFirstUser(u1)];
-    r.new_candidates.emplace_back(u1, u2);
-    r.candidate_ids.push_back(global_id++);
+    ShardSlice& r = routed[partition.ShardOfFirstUser(u1)];
+    r.added.emplace_back(u1, u2);
+    r.added_ids.push_back(global_id++);
   }
   return routed;
 }
@@ -98,9 +95,8 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
                                  CandidateLinkSet candidates,
                                  IngestorOptions options)
     : options_(std::move(options)),
-      plane_(std::move(pair), train_anchors, options_.serve.features) {
+      features_(std::move(pair), train_anchors, options_.serve.features) {
   ACTIVEITER_CHECK(options_.partition.Validate().ok());
-  plane_.set_obs(options_.obs);
   if (options_.obs.metrics != nullptr) {
     epoch_lag_ = options_.obs.metrics->GetGauge("serve.ingest.epoch_lag");
     pipeline_inflight_ =
@@ -110,6 +106,8 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
   }
   const size_t n = options_.partition.num_shards;
   next_global_id_ = candidates.size();
+  served_.reserve(candidates.size());
+  for (const auto& [u1, u2] : candidates.links()) ++served_[PairKey(u1, u2)];
   std::vector<CandidateSlice> slices =
       PartitionCandidates(candidates, options_.partition);
   services_.reserve(n);
@@ -136,8 +134,8 @@ Status ShardedIngestor::Start() {
   // slice from the one view.
   const FeatureView features = [&] {
     TraceSpan span(options_.obs.tracer, "ingest.plane_extract");
-    plane_.Refresh();
-    return plane_.View();
+    features_.Refresh();
+    return features_.View();
   }();
   for (auto& shard : shards_) {
     ACTIVEITER_RETURN_IF_ERROR(shard->Start(features));
@@ -145,28 +143,51 @@ Status ShardedIngestor::Start() {
   return Status::OK();
 }
 
-Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
-                                    size_t submitted_batches) {
-  for (const auto& shard : shards_) {
-    if (!shard->started()) return Status::FailedPrecondition("Start() first");
-  }
-  // Validate-before-mutate: a rejected batch leaves the plane AND every
-  // shard untouched, so the write side stays consistent.
+Result<ShardedIngestor::PreparedDrain> ShardedIngestor::Prepare(
+    const ServeDelta& merged) {
+  // Validate-before-mutate: a rejected batch leaves the graph, the
+  // features, the served pairs and every shard untouched.
   ACTIVEITER_RETURN_IF_ERROR(
-      ValidateCandidateEndpoints(plane_.pair(), merged));
-  ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(merged.graph));
-  const std::vector<size_t> dirty_columns = plane_.Refresh();
-  const FeatureView features = plane_.View();
-  std::vector<ServeDelta> routed = [&] {
-    TraceSpan span(options_.obs.tracer, "ingest.route");
-    return RouteServeDelta(merged, options_.partition, next_global_id_);
-  }();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
-        features, dirty_columns, routed[s], submitted_batches));
+      ValidateCandidateEndpoints(features_.pair(), merged));
+  {
+    std::unordered_set<uint64_t> named;
+    named.reserve(merged.removed_candidates.size());
+    for (const auto& [u1, u2] : merged.removed_candidates) {
+      const uint64_t key = PairKey(u1, u2);
+      if (!named.insert(key).second) {
+        return Status::InvalidArgument(
+            "batch removes the same candidate pair twice");
+      }
+      if (served_.count(key) == 0) {
+        return Status::NotFound(
+            "removal names a candidate pair that is not served");
+      }
+    }
   }
+  {
+    TraceSpan span(options_.obs.tracer, "ingest.plane_apply");
+    ACTIVEITER_RETURN_IF_ERROR(features_.Apply(merged.graph));
+  }
+  PreparedDrain drain;
+  {
+    TraceSpan span(options_.obs.tracer, "ingest.plane_refresh");
+    drain.dirty_columns =
+        std::make_shared<const std::vector<size_t>>(features_.Refresh());
+  }
+  drain.features = std::make_shared<const FeatureView>(features_.View());
+  TraceSpan span(options_.obs.tracer, "ingest.route");
+  drain.slices =
+      RouteServeDelta(merged, options_.partition, next_global_id_);
   next_global_id_ += merged.new_candidates.size();
-  return Status::OK();
+  // Removals first, then additions: the order ModelShard applies them.
+  for (const auto& [u1, u2] : merged.removed_candidates) {
+    auto it = served_.find(PairKey(u1, u2));
+    if (--it->second == 0) served_.erase(it);
+  }
+  for (const auto& [u1, u2] : merged.new_candidates) {
+    ++served_[PairKey(u1, u2)];
+  }
+  return drain;
 }
 
 Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
@@ -194,40 +215,30 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
     overlapped = inflight_drains_ > 1;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Add(1);
   }
-  Status prepared = Status::OK();
-  std::shared_ptr<const std::vector<size_t>> dirty;
-  std::shared_ptr<const FeatureView> features;
-  std::vector<ServeDelta> routed;
-  {
+  Result<PreparedDrain> prepared = [&] {
     TraceSpan prepare(options_.obs.tracer, "ingest.pipeline.prepare");
     // Overlap accounting: prepare time spent while at least one earlier
     // drain was still absorbing is exactly the pipeline's win.
     TraceSpan overlap(overlapped ? options_.obs.tracer : nullptr,
                       "ingest.pipeline.overlap");
-    prepared = ValidateCandidateEndpoints(plane_.pair(), merged);
-    if (prepared.ok()) prepared = plane_.Apply(merged.graph);
-    if (prepared.ok()) {
-      dirty = std::make_shared<const std::vector<size_t>>(plane_.Refresh());
-      features = std::make_shared<const FeatureView>(plane_.View());
-      TraceSpan route_span(options_.obs.tracer, "ingest.route");
-      routed = RouteServeDelta(merged, options_.partition, next_global_id_);
-    }
-  }
+    return Prepare(merged);
+  }();
   if (!prepared.ok()) {
     // Rejected before anything mutated: give the slot back.
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_drains_;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Sub(1);
-    return prepared;
+    return prepared.status();
   }
+  PreparedDrain& drain = prepared.value();
   const uint64_t seq = ++drain_seq_;
-  next_global_id_ += merged.new_candidates.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
     tickets_.push_back(DrainTicket{seq, shards_.size(), submitted_batches});
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    executors_[s]->Enqueue(SliceTask{features, dirty, std::move(routed[s]),
+    executors_[s]->Enqueue(SliceTask{drain.features, drain.dirty_columns,
+                                     std::move(drain.slices[s]),
                                      submitted_batches, seq});
   }
   return Status::OK();
@@ -259,7 +270,18 @@ Status ShardedIngestor::ApplyOnce(const ServeDelta& delta) {
     ACTIVEITER_CHECK_MSG(!thread_running_,
                          "ApplyOnce may not race the coordinator");
   }
-  return ApplyMerged(delta, /*submitted_batches=*/1);
+  for (const auto& shard : shards_) {
+    if (!shard->started()) return Status::FailedPrecondition("Start() first");
+  }
+  Result<PreparedDrain> prepared = Prepare(delta);
+  if (!prepared.ok()) return prepared.status();
+  const PreparedDrain& drain = prepared.value();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
+        *drain.features, *drain.dirty_columns, drain.slices[s],
+        /*submitted_batches=*/1));
+  }
+  return Status::OK();
 }
 
 void ShardedIngestor::StartBackground() {
@@ -280,8 +302,6 @@ void ShardedIngestor::StartBackground() {
 
 void ShardedIngestor::Submit(ServeDelta delta) {
   TraceSpan span(options_.obs.tracer, "ingest.submit");
-  ACTIVEITER_CHECK_MSG(delta.candidate_ids.empty(),
-                       "incoming batches must not carry global link ids");
   if (epoch_lag_ != nullptr) epoch_lag_->Add(1);
   {
     std::unique_lock<std::mutex> lock(mu_);

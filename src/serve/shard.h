@@ -3,22 +3,23 @@
 // the unsharded deployment.
 //
 //                       ┌──────────────── ShardedIngestor ────────────────┐
-//   ServeDelta ──▶ queue ─▶ coordinator ─▶ FeaturePlane (one per          │
+//   ServeDelta ──▶ queue ─▶ coordinator ─▶ DeltaFeatureExtractor (one per │
 //     (Submit)            (coalesce +      ingestor: apply + refresh      │
-//                          route by        drain N+1 while the shards     │
-//                          u1 range,       absorb drain N)                │
-//                          assign           │ per-drain FeatureView       │
-//                          global      ┌────┴────┬─────────┐              │
-//                          link        ▼         ▼         ▼              │
-//                          ids)    executor 0 executor 1  ...             │
-//                                  ModelShard ModelShard (persistent      │
-//                                      │         │         threads)       │
+//                          check removals  drain N+1 while the shards     │
+//                          against the     absorb drain N)                │
+//                          served pairs,    │ per-drain FeatureView       │
+//                          route by    ┌────┴────┬─────────┐              │
+//                          u1 range,   ▼         ▼         ▼              │
+//                          assign  executor 0 executor 1  ...             │
+//                          global  ModelShard ModelShard (persistent      │
+//                          link ids)   │         │         threads)       │
 //                                      ▼         ▼   per-shard publish    │
 //                                   AlignmentService per shard ───────────┼─▶ ShardRouter
 //                       └──────────────────────────────────────────────── ┘  (QueryBackend)
 //
-// Stage 1 (coordinator): validate → graph apply → SpGEMM refresh → take
-// the drain's FeatureView → route.
+// Stage 1 (coordinator, Prepare): validate → graph apply → SpGEMM
+// refresh → take the drain's FeatureView → route and assign ids. Both
+// ApplyOnce and the background coordinator run this one step.
 // Stage 2 (shard executors): downdate/replace/append rows → PU realign →
 // snapshot publish, one persistent thread per shard (mailbox + condition
 // variable, started once at StartBackground, joined at Stop — steady-state
@@ -26,9 +27,9 @@
 //
 // The pipeline: the shards read a drain's features only through its
 // FeatureView — shared pointers to that epoch's proximity tables plus the
-// post-growth user universes. The plane rebuilds its tables as new objects
-// on every Refresh, so the coordinator applies and refreshes drain N+1 on
-// the one plane while the shards still read drain N's view. At most
+// post-growth user universes. The feature engine rebuilds its tables as
+// new objects on every Refresh, so the coordinator applies and refreshes
+// drain N+1 while the shards still read drain N's view. At most
 // pipeline_depth + 1 drains are in flight; the coordinator waits for a
 // free slot before preparing the next one. That wait is the backpressure
 // (counted in IngestStats::pipeline_stalls), and with depth 0 it is the
@@ -40,8 +41,8 @@
 // every depth.
 //
 // Model semantics: each shard trains the PU alternation on its own slice.
-// With N shards each slice's model equals a single plane + ModelShard run
-// over that slice alone (the plane's feature state depends only on the
+// With N shards each slice's model equals a single feature engine +
+// ModelShard run over that slice alone (feature state depends only on the
 // graph, never on the candidate set; proven by the sharded equivalence
 // test), trading cross-shard one-to-one coupling on second-network users
 // for shard-parallel ingest.
@@ -51,7 +52,8 @@
 // merged answers are comparable run-to-run.
 //
 // Failure model: a batch that fails validation (bad graph delta, bad
-// candidate endpoint) is rejected before anything mutates. A model-side
+// candidate endpoint, removal of a pair that is not served or named
+// twice) is rejected before anything mutates. A model-side
 // failure inside a shard makes the background status sticky — up to
 // pipeline_depth later drains may already sit in executor mailboxes when
 // it surfaces; their absorbs are skipped (the read side keeps serving
@@ -66,31 +68,30 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/graph/partition.h"
-#include "src/serve/feature_plane.h"
+#include "src/metadiagram/delta_features.h"
 #include "src/serve/ingestor.h"
 #include "src/serve/router.h"
 
 namespace activeiter {
 
-/// Splits one incoming batch into per-shard batches: the graph delta is
-/// replicated to every shard (slices must stay aligned with the shared
-/// plane), new candidates go to the shard owning their first endpoint,
-/// and each candidate is stamped with a global link id starting at
-/// `first_global_id`. Candidate removals route by the same first-endpoint
-/// rule — pairs, not ids, so no cross-shard id map is needed. The
-/// incoming batch must not carry ids already.
-std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
+/// Splits one incoming batch's candidate changes into per-shard slices:
+/// new candidates go to the shard owning their first endpoint, each
+/// stamped with a global link id counting up from `first_global_id` in
+/// submission order. Removals route by the same first-endpoint rule —
+/// pairs, not ids, so no cross-shard id map is needed.
+std::vector<ShardSlice> RouteServeDelta(const ServeDelta& delta,
                                         const ShardPartition& partition,
                                         size_t first_global_id);
 
-/// One FeaturePlane + N ModelShards over disjoint candidate slices plus
-/// the ShardRouter serving them. Lifecycle: Start → ApplyOnce |
-/// StartBackground/Submit/Flush/Stop; queries go through backend().
+/// One DeltaFeatureExtractor + N ModelShards over disjoint candidate
+/// slices plus the ShardRouter serving them. Lifecycle: Start → ApplyOnce
+/// | StartBackground/Submit/Flush/Stop; queries go through backend().
 /// ApplyOnce is the deterministic path used by tests and epoch-by-epoch
 /// comparisons; it must not be mixed with the background coordinator
 /// while that runs.
@@ -98,8 +99,8 @@ class ShardedIngestor {
  public:
   /// Takes ownership of the initial state and splits it across
   /// `options.partition.num_shards` shards. The pair lives once, in the
-  /// plane; the labeled bridge L+ is handed to the plane and to every
-  /// shard here; candidate ownership follows the partition.
+  /// feature engine; the labeled bridge L+ is handed to the engine and to
+  /// every shard here; candidate ownership follows the partition.
   ShardedIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
                   CandidateLinkSet candidates, IngestorOptions options = {});
 
@@ -108,23 +109,23 @@ class ShardedIngestor {
   ShardedIngestor(const ShardedIngestor&) = delete;
   ShardedIngestor& operator=(const ShardedIngestor&) = delete;
 
-  /// Refreshes the plane once (every diagram) and starts every shard
+  /// Refreshes the features once (every diagram) and starts every shard
   /// against that view (one Gram factorisation per shard), publishing
   /// epoch 0 on all of them.
   Status Start();
 
-  /// Routes one batch and applies it synchronously, shard after shard.
+  /// Prepares one batch (the same step the background coordinator runs)
+  /// and applies its slices synchronously, shard after shard.
   /// Deterministic; shard epochs stay in lock-step.
   Status ApplyOnce(const ServeDelta& delta);
 
   /// Background ingest: one coordinator thread that drains the queue
-  /// (coalescing per the drain policy) and prepares each drain on the
-  /// plane, plus one persistent executor thread per shard absorbing the
-  /// slices.
+  /// (coalescing per the drain policy) and prepares each drain, plus one
+  /// persistent executor thread per shard absorbing the slices.
   void StartBackground();
 
-  /// Enqueues a batch. The batch must not carry global link ids — this
-  /// layer assigns them, in submission order, at drain time. Blocks when
+  /// Enqueues a batch. This layer assigns global link ids to its new
+  /// candidates, in submission order, at drain time. Blocks when
   /// options().submit_queue_limit batches are already queued
   /// (backpressure; counted as a pipeline stall).
   void Submit(ServeDelta delta);
@@ -162,7 +163,7 @@ class ShardedIngestor {
 
   // Per-shard internals for tests and equivalence comparisons. NOT safe
   // while the coordinator runs.
-  const AlignedPair& pair() const { return plane_.pair(); }
+  const AlignedPair& pair() const { return features_.pair(); }
   const ModelShard& shard(size_t shard) const;
   const AlignmentService& shard_service(size_t shard) const;
 
@@ -174,7 +175,7 @@ class ShardedIngestor {
   struct SliceTask {
     std::shared_ptr<const FeatureView> features;
     std::shared_ptr<const std::vector<size_t>> dirty_columns;
-    ServeDelta slice;
+    ShardSlice slice;
     size_t submitted_batches = 0;
     uint64_t seq = 0;
   };
@@ -186,19 +187,29 @@ class ShardedIngestor {
     size_t submitted = 0;   // Submit() calls this drain coalesces
   };
 
+  /// A prepared drain: the refreshed view, its dirty columns and one
+  /// slice per shard.
+  struct PreparedDrain {
+    std::shared_ptr<const FeatureView> features;
+    std::shared_ptr<const std::vector<size_t>> dirty_columns;
+    std::vector<ShardSlice> slices;
+  };
+
   void WorkerLoop();
-  /// Deterministic path: validate → apply + refresh the plane → route →
-  /// shard applies, sequential on this thread.
-  Status ApplyMerged(const ServeDelta& merged, size_t submitted_batches);
-  /// Pipelined path: wait for a free in-flight slot, prepare the drain on
-  /// the plane and hand the slices to the executors. Returns without
-  /// waiting for the absorbs.
+  /// The one prepare step of both paths: validate → apply the graph →
+  /// refresh → take the FeatureView → route and assign ids. A batch it
+  /// rejects leaves the graph, the features and the served pairs as they
+  /// were.
+  Result<PreparedDrain> Prepare(const ServeDelta& merged);
+  /// Pipelined path: wait for a free in-flight slot, Prepare the drain and
+  /// hand the slices to the executors. Returns without waiting for the
+  /// absorbs.
   Status PrepareDrain(const ServeDelta& merged, size_t submitted_batches);
   /// Executor callback: a shard finished (or skipped) drain `seq`.
   void OnSliceDone(uint64_t seq, const Status& status);
 
   IngestorOptions options_;
-  FeaturePlane plane_;
+  DeltaFeatureExtractor features_;
   /// Submitted-but-unpublished batches; null when metrics are detached.
   Gauge* epoch_lag_ = nullptr;
   Gauge* pipeline_inflight_ = nullptr;   // "ingest.pipeline.depth"
@@ -207,6 +218,12 @@ class ShardedIngestor {
   std::vector<std::unique_ptr<ModelShard>> shards_;
   std::unique_ptr<ShardRouter> router_;
   size_t next_global_id_ = 0;
+  // Every served candidate pair as PairKey → multiplicity, as of the last
+  // prepared drain. Removals are checked against it before the graph
+  // moves. The shards cannot check them: with pipelining they run up to
+  // pipeline_depth drains behind the coordinator, so their candidate sets
+  // are stale at prepare time. Coordinator thread (or ApplyOnce) only.
+  std::unordered_map<uint64_t, size_t> served_;
   uint64_t drain_seq_ = 0;               // dispatched background drains
 
   // Persistent per-shard absorb threads (live between StartBackground

@@ -84,8 +84,7 @@ TEST(DeltaFeatureTest, DeltaExtractionBitwiseMatchesFullRebuild) {
   delta.second.nodes.push_back({NodeType::kUser, 1});
   delta.second.edges.push_back({RelationType::kFollow, new_u2, 1});
   delta.new_anchors.push_back({new_u1, new_u2});
-  ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-  extractor.NoteDelta(delta);
+  ASSERT_TRUE(extractor.Apply(delta).ok());
 
   // Candidates now include pairs built from brand-new users.
   candidates.Add(new_u1, new_u2);
@@ -93,7 +92,7 @@ TEST(DeltaFeatureTest, DeltaExtractionBitwiseMatchesFullRebuild) {
   candidates.Add(0, new_u2);
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
+  FeatureExtractor batch_extractor(extractor.pair(), train);
   ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
 
   // Only follow was touched: the attribute paths, Ψ2 and their shared
@@ -120,8 +119,7 @@ TEST(DeltaFeatureTest, AttributeOnlyDeltaKeepsSocialDiagramsClean) {
   // Only side-1 checkin changes: every pure-social diagram stays clean.
   PairDelta delta;
   delta.first.edges.push_back({RelationType::kCheckin, 0, 0});
-  ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-  extractor.NoteDelta(delta);
+  ASSERT_TRUE(extractor.Apply(delta).ok());
   std::vector<size_t> dirty = extractor.Refresh();
   EXPECT_FALSE(dirty.empty());
   EXPECT_LT(dirty.size(), extractor.dimension() - 1);
@@ -137,7 +135,7 @@ TEST(DeltaFeatureTest, AttributeOnlyDeltaKeepsSocialDiagramsClean) {
   }
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
+  FeatureExtractor batch_extractor(extractor.pair(), train);
   ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
 }
 
@@ -151,8 +149,7 @@ TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
   PairDelta delta;
   delta.first.nodes.push_back({NodeType::kUser, 3});
   delta.second.nodes.push_back({NodeType::kUser, 2});
-  ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-  extractor.NoteDelta(delta);
+  ASSERT_TRUE(extractor.Apply(delta).ok());
   std::vector<size_t> dirty = extractor.Refresh();
   EXPECT_TRUE(dirty.empty());
   // Only the epoch-0 build ever recomputed anything.
@@ -160,11 +157,11 @@ TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
 
   // Isolated new users score zero against everyone but extraction over
   // them must be well-formed and match a full rebuild.
-  const NodeId new_u1 =
-      static_cast<NodeId>(pair.first().NodeCount(NodeType::kUser) - 1);
+  const NodeId new_u1 = static_cast<NodeId>(
+      extractor.pair().first().NodeCount(NodeType::kUser) - 1);
   candidates.Add(new_u1, 0);
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
+  FeatureExtractor batch_extractor(extractor.pair(), train);
   ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
   for (size_t k = 0; k + 1 < extractor.dimension(); ++k) {
     EXPECT_EQ(streamed(candidates.size() - 1, k), 0.0);
@@ -182,8 +179,8 @@ TEST(DeltaFeatureTest, GrowThenGrowStreamBitwiseAtEveryEpoch) {
   extractor.Extract(candidates);
 
   for (int epoch = 0; epoch < 3; ++epoch) {
-    const NodeId new_u1 =
-        static_cast<NodeId>(pair.first().NodeCount(NodeType::kUser));
+    const NodeId new_u1 = static_cast<NodeId>(
+        extractor.pair().first().NodeCount(NodeType::kUser));
     PairDelta delta;
     delta.first.nodes.push_back({NodeType::kUser, 1});
     delta.first.edges.push_back(
@@ -193,12 +190,11 @@ TEST(DeltaFeatureTest, GrowThenGrowStreamBitwiseAtEveryEpoch) {
     delta.second.edges.push_back(
         {RelationType::kFollow, static_cast<NodeId>(epoch),
          static_cast<NodeId>(epoch + 2)});
-    ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-    extractor.NoteDelta(delta);
+    ASSERT_TRUE(extractor.Apply(delta).ok());
     candidates.Add(new_u1, static_cast<NodeId>(epoch));
 
     Matrix streamed = extractor.Extract(candidates);
-    FeatureExtractor batch_extractor(pair, train);
+    FeatureExtractor batch_extractor(extractor.pair(), train);
     ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
   }
   EXPECT_GT(extractor.stats().intermediates_row_updated, 0u);
@@ -221,11 +217,10 @@ TEST(DeltaFeatureTest, SplicingThresholdBoundaries) {
     PairDelta delta;
     delta.first.edges.push_back({RelationType::kFollow, 0, 2});
     delta.second.edges.push_back({RelationType::kFollow, 3, 1});
-    ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-    extractor.NoteDelta(delta);
+    ASSERT_TRUE(extractor.Apply(delta).ok());
 
     Matrix streamed = extractor.Extract(candidates);
-    FeatureExtractor batch_extractor(pair, train);
+    FeatureExtractor batch_extractor(extractor.pair(), train);
     ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
 
     const DeltaFeatureExtractor::RefreshStats& stats = extractor.stats();
@@ -257,11 +252,10 @@ TEST(DeltaFeatureTest, RemovedEdgesBitwiseMatchFullRebuild) {
       {RelationType::kFollow, first_edge.first, first_edge.second});
   shrink.second.removed_edges.push_back(
       {RelationType::kFollow, second_edge.first, second_edge.second});
-  ASSERT_TRUE(pair.ApplyDelta(shrink).ok());
-  extractor.NoteDelta(shrink);
+  ASSERT_TRUE(extractor.Apply(shrink).ok());
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
+  FeatureExtractor batch_extractor(extractor.pair(), train);
   ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
 
   // Round trip: re-adding the removed edges restores the original
@@ -271,10 +265,9 @@ TEST(DeltaFeatureTest, RemovedEdgesBitwiseMatchFullRebuild) {
       {RelationType::kFollow, first_edge.first, first_edge.second});
   regrow.second.edges.push_back(
       {RelationType::kFollow, second_edge.first, second_edge.second});
-  ASSERT_TRUE(pair.ApplyDelta(regrow).ok());
-  extractor.NoteDelta(regrow);
+  ASSERT_TRUE(extractor.Apply(regrow).ok());
   Matrix restored = extractor.Extract(candidates);
-  FeatureExtractor fresh(pair, train);
+  FeatureExtractor fresh(extractor.pair(), train);
   ExpectBitwiseEqual(restored, fresh.Extract(candidates));
   EXPECT_EQ(extractor.stats().refreshes, 3u);
   EXPECT_GT(extractor.stats().diagrams_reused, 0u);

@@ -12,7 +12,9 @@
 //     rank-k DOWNDATE path, proven via the factor/downdate counters.
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -200,24 +202,133 @@ TEST(ChurnEquivalenceTest, MultiShardChurnRoutesRemovalsToOwningShard) {
             stream_removals);
 }
 
+/// Everything a rejected batch must leave as it was: the graph's size and
+/// every shard's epoch and design matrix.
+struct WriteSideState {
+  size_t nodes = 0;
+  size_t edges = 0;
+  std::vector<uint64_t> epochs;
+  std::vector<Matrix> designs;
+
+  explicit WriteSideState(const ShardedIngestor& ingestor)
+      : nodes(ingestor.pair().first().TotalNodeCount() +
+              ingestor.pair().second().TotalNodeCount()),
+        edges(ingestor.pair().first().TotalEdgeCount() +
+              ingestor.pair().second().TotalEdgeCount()) {
+    for (size_t i = 0; i < ingestor.num_shards(); ++i) {
+      epochs.push_back(ingestor.shard(i).epoch());
+      designs.push_back(ingestor.shard(i).design());
+    }
+  }
+
+  void ExpectUnchangedIn(const ShardedIngestor& ingestor) const {
+    const WriteSideState now(ingestor);
+    EXPECT_EQ(now.nodes, nodes);
+    EXPECT_EQ(now.edges, edges);
+    ASSERT_EQ(now.epochs, epochs);
+    for (size_t i = 0; i < designs.size(); ++i) {
+      ASSERT_EQ(now.designs[i].rows(), designs[i].rows()) << "shard " << i;
+      EXPECT_EQ(Matrix::MaxAbsDiff(now.designs[i], designs[i]), 0.0)
+          << "shard " << i;
+    }
+  }
+};
+
+/// Every shard's X against a fresh extraction over the current pair.
+void ExpectDesignsMatchFreshExtraction(
+    const ShardedIngestor& ingestor,
+    const std::vector<AnchorLink>& train_anchors) {
+  FeatureExtractor fresh(ingestor.pair(), train_anchors);
+  for (size_t i = 0; i < ingestor.num_shards(); ++i) {
+    const Matrix x = fresh.Extract(ingestor.shard(i).candidates());
+    ASSERT_EQ(x.rows(), ingestor.shard(i).design().rows()) << "shard " << i;
+    EXPECT_EQ(Matrix::MaxAbsDiff(x, ingestor.shard(i).design()), 0.0)
+        << "shard " << i;
+  }
+}
+
 TEST(ChurnEquivalenceTest, RemovingUnknownCandidateRejectsWithoutMutating) {
-  DeltaStream s = ChurnStream(17, 0.0);
-  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
-                           std::move(s.initial_candidates));
-  const AlignmentService& service = ingestor.shard_service(0);
-  ASSERT_TRUE(ingestor.Start().ok());
-  const size_t rows_before = ingestor.shard(0).design().rows();
+  {
+    DeltaStream s = ChurnStream(17, 0.0);
+    ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                             std::move(s.initial_candidates));
+    const AlignmentService& service = ingestor.shard_service(0);
+    ASSERT_TRUE(ingestor.Start().ok());
+    const size_t rows_before = ingestor.shard(0).design().rows();
 
-  ServeDelta bad;
-  bad.removed_candidates.emplace_back(NodeId{0}, NodeId{4000000});
-  EXPECT_EQ(ingestor.ApplyOnce(bad).code(), StatusCode::kNotFound);
-  EXPECT_EQ(ingestor.shard(0).design().rows(), rows_before);
-  EXPECT_EQ(ingestor.stats().rows_removed, 0u);
-  EXPECT_EQ(service.epoch(), 0u);
+    ServeDelta bad;
+    bad.removed_candidates.emplace_back(NodeId{0}, NodeId{4000000});
+    EXPECT_EQ(ingestor.ApplyOnce(bad).code(), StatusCode::kNotFound);
+    EXPECT_EQ(ingestor.shard(0).design().rows(), rows_before);
+    EXPECT_EQ(ingestor.stats().rows_removed, 0u);
+    EXPECT_EQ(service.epoch(), 0u);
 
-  // Serving continues: a valid batch still applies afterwards.
-  ASSERT_TRUE(ingestor.ApplyOnce(s.batches[0]).ok());
-  EXPECT_EQ(service.epoch(), 1u);
+    // Serving continues: a valid batch still applies afterwards.
+    ASSERT_TRUE(ingestor.ApplyOnce(s.batches[0]).ok());
+    EXPECT_EQ(service.epoch(), 1u);
+  }
+
+  // The bad removal rides on a batch that also changes the graph. It must
+  // be rejected before the graph moves; otherwise the drain's dirty
+  // columns are lost and the next epoch serves stale rows in X.
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    DeltaStream s = ChurnStream(7, 0.0);
+    ASSERT_GE(s.batches.size(), 2u);
+    ASSERT_FALSE(s.batches[0].graph.empty());
+    IngestorOptions options;
+    options.partition.num_shards = shards;
+    ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                             std::move(s.initial_candidates), options);
+    ASSERT_TRUE(ingestor.Start().ok());
+
+    ServeDelta bad;
+    bad.graph = s.batches[0].graph;
+    bad.removed_candidates.emplace_back(NodeId{0}, NodeId{4000000});
+    const WriteSideState before(ingestor);
+    EXPECT_EQ(ingestor.ApplyOnce(bad).code(), StatusCode::kNotFound);
+    before.ExpectUnchangedIn(ingestor);
+
+    // A batch naming one served pair twice is rejected the same way.
+    ServeDelta twice;
+    twice.graph = s.batches[0].graph;
+    const auto served = ingestor.shard(0).candidates().link(0);
+    twice.removed_candidates = {served, served};
+    EXPECT_EQ(ingestor.ApplyOnce(twice).code(),
+              StatusCode::kInvalidArgument);
+    before.ExpectUnchangedIn(ingestor);
+
+    for (size_t b = 0; b < 2; ++b) {
+      ASSERT_TRUE(ingestor.ApplyOnce(s.batches[b]).ok()) << "batch " << b;
+      ExpectDesignsMatchFreshExtraction(ingestor, s.train_anchors);
+    }
+  }
+
+  // The same bad batch through the background coordinator: a sticky
+  // NotFound, and no shard epoch advanced.
+  {
+    DeltaStream s = ChurnStream(7, 0.0);
+    IngestorOptions options;
+    options.partition.num_shards = 2;
+    ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                             std::move(s.initial_candidates), options);
+    ASSERT_TRUE(ingestor.Start().ok());
+    const WriteSideState before(ingestor);
+
+    ServeDelta bad;
+    bad.graph = s.batches[0].graph;
+    bad.removed_candidates.emplace_back(NodeId{0}, NodeId{4000000});
+    ingestor.StartBackground();
+    ingestor.Submit(std::move(bad));
+    ingestor.Flush();
+    EXPECT_EQ(ingestor.background_status().code(), StatusCode::kNotFound);
+    // Sticky: a valid batch submitted after the error is discarded.
+    ingestor.Submit(s.batches[0]);
+    ingestor.Flush();
+    ingestor.Stop();
+    EXPECT_EQ(ingestor.background_status().code(), StatusCode::kNotFound);
+    before.ExpectUnchangedIn(ingestor);
+  }
 }
 
 }  // namespace

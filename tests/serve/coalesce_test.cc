@@ -99,7 +99,7 @@ TEST(CoalesceTest, PerDeltaPolicyKeepsOneEpochPerSubmit) {
 TEST(CoalesceTest, MergePreservesSubmissionOrder) {
   ServeDelta a;
   a.new_candidates.emplace_back(1, 2);
-  ServeDelta graph_only;  // id-mode neutral
+  ServeDelta graph_only;
   ServeDelta b;
   b.new_candidates.emplace_back(3, 4);
   b.new_candidates.emplace_back(5, 6);
@@ -109,7 +109,6 @@ TEST(CoalesceTest, MergePreservesSubmissionOrder) {
   EXPECT_EQ(merged.new_candidates[0], std::make_pair(NodeId{1}, NodeId{2}));
   EXPECT_EQ(merged.new_candidates[1], std::make_pair(NodeId{3}, NodeId{4}));
   EXPECT_EQ(merged.new_candidates[2], std::make_pair(NodeId{5}, NodeId{6}));
-  EXPECT_TRUE(merged.candidate_ids.empty());
 }
 
 // Opposing operations collapse at merge time: add-then-remove and
@@ -167,22 +166,6 @@ TEST(CoalesceTest, MergeCollapsesCandidateChurn) {
   ASSERT_EQ(merged.new_candidates.size(), 1u);
   EXPECT_EQ(merged.new_candidates[0], std::make_pair(NodeId{3}, NodeId{4}));
   EXPECT_TRUE(merged.removed_candidates.empty());
-  EXPECT_TRUE(merged.candidate_ids.empty());
-}
-
-TEST(CoalesceTest, MergeCollapseDropsCancelledExplicitIds) {
-  // Sharded routing mode: candidates carry explicit global ids; a
-  // cancelled addition must drop its id too, keeping the arrays parallel.
-  ServeDelta grow;
-  grow.new_candidates.emplace_back(1, 2);
-  grow.new_candidates.emplace_back(3, 4);
-  grow.candidate_ids = {10, 11};
-  ServeDelta shrink;
-  shrink.removed_candidates.emplace_back(1, 2);
-  ServeDelta merged = MergeServeDeltas({grow, shrink});
-  ASSERT_EQ(merged.new_candidates.size(), 1u);
-  ASSERT_EQ(merged.candidate_ids.size(), 1u);
-  EXPECT_EQ(merged.candidate_ids[0], 11u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The one lifetime invariant the ingest pipeline rests on: a FeatureView
 // taken after drain N reads drain N's features BITWISE, however far the
-// plane moves on. The coordinator applies and refreshes drain N+1 (and
-// N+2) on the same FeaturePlane while shard executors still read drain
-// N's view, so a view must never observe a later Apply or Refresh —
-// including a shrinking drain that removes edges — and must outlive the
-// plane itself. A reader thread races the later drains so TSan (the
-// serve_ CI regex) sees the exact hand-off the executors rely on.
+// feature engine moves on. The coordinator applies and refreshes drain
+// N+1 (and N+2) on the same DeltaFeatureExtractor while shard executors
+// still read drain N's view, so a view must never observe a later Apply
+// or Refresh — including a shrinking drain that removes edges — and must
+// outlive the engine itself. A reader thread races the later drains so
+// TSan (the serve_ CI regex) sees the exact hand-off the executors rely
+// on.
 
 #include <atomic>
 #include <cstring>
@@ -18,9 +19,9 @@
 
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
+#include "src/metadiagram/delta_features.h"
 #include "src/metadiagram/features.h"
 #include "src/serve/delta_stream.h"
-#include "src/serve/feature_plane.h"
 
 namespace activeiter {
 namespace {
@@ -67,7 +68,7 @@ struct ViewReadout {
   }
 };
 
-TEST(FeatureViewTest, ViewIsBitwiseStableAcrossLaterDrainsAndThePlane) {
+TEST(FeatureViewTest, ViewIsBitwiseStableAcrossLaterDrainsAndTheEngine) {
   auto full = AlignedNetworkGenerator(TinyPreset(43)).Generate();
   ASSERT_TRUE(full.ok());
   DeltaStreamOptions carve;
@@ -86,26 +87,27 @@ TEST(FeatureViewTest, ViewIsBitwiseStableAcrossLaterDrainsAndThePlane) {
                 shrink.second.removed_edges.size(),
             0u);
 
-  auto plane = std::make_unique<FeaturePlane>(s.initial, s.train_anchors);
-  plane->Refresh();
+  auto engine =
+      std::make_unique<DeltaFeatureExtractor>(s.initial, s.train_anchors);
+  engine->Refresh();
   // Drain N = the first growth batch.
   CandidateLinkSet candidates = s.initial_candidates;
-  ASSERT_TRUE(plane->Apply(s.batches[0].graph).ok());
-  plane->Refresh();
+  ASSERT_TRUE(engine->Apply(s.batches[0].graph).ok());
+  engine->Refresh();
   for (const auto& [u1, u2] : s.batches[0].new_candidates) {
     candidates.Add(u1, u2);
   }
-  const FeatureView view = plane->View();
+  const FeatureView view = engine->View();
   const ViewReadout at_n(view, candidates);
 
   // The view IS drain N's features: bitwise a fresh extraction over the
   // graph as it stood.
-  FeatureExtractor fresh(plane->pair(), s.train_anchors);
+  FeatureExtractor fresh(engine->pair(), s.train_anchors);
   EXPECT_EQ(Matrix::MaxAbsDiff(view.Extract(candidates),
                                fresh.Extract(candidates)),
             0.0);
 
-  // A reader keeps re-reading the view while the plane applies and
+  // A reader keeps re-reading the view while the engine applies and
   // refreshes drains N+1 (shrinking) and N+2 (growing) — the executor's
   // side of the pipeline hand-off.
   std::atomic<bool> stop{false};
@@ -121,14 +123,14 @@ TEST(FeatureViewTest, ViewIsBitwiseStableAcrossLaterDrainsAndThePlane) {
   });
   for (size_t b = 1; b <= 2; ++b) {
     // Non-fatal: the reader thread must still be joined below.
-    const Status applied = plane->Apply(s.batches[b].graph);
+    const Status applied = engine->Apply(s.batches[b].graph);
     EXPECT_TRUE(applied.ok()) << "drain " << b;
     if (!applied.ok()) break;
-    const std::vector<size_t> dirty = plane->Refresh();
+    const std::vector<size_t> dirty = engine->Refresh();
     EXPECT_FALSE(dirty.empty()) << "drain " << b;
-    // The plane really moved on: its current view disagrees with drain
+    // The engine really moved on: its current view disagrees with drain
     // N's somewhere, so the stability below is not vacuous.
-    EXPECT_GT(ViewReadout(plane->View(), candidates).Mismatches(at_n), 0u)
+    EXPECT_GT(ViewReadout(engine->View(), candidates).Mismatches(at_n), 0u)
         << "drain " << b;
     EXPECT_EQ(ViewReadout(view, candidates).Mismatches(at_n), 0u)
         << "drain " << b;
@@ -138,18 +140,18 @@ TEST(FeatureViewTest, ViewIsBitwiseStableAcrossLaterDrainsAndThePlane) {
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(reader_mismatches.load(), 0u);
 
-  // The view outlives the plane that produced it.
-  plane.reset();
+  // The view outlives the engine that produced it.
+  engine.reset();
   EXPECT_EQ(ViewReadout(view, candidates).Mismatches(at_n), 0u);
 }
 
-TEST(FeatureViewTest, ViewRequiresARefreshedPlane) {
+TEST(FeatureViewTest, ViewRequiresARefreshedEngine) {
   auto full = AlignedNetworkGenerator(TinyPreset(47)).Generate();
   ASSERT_TRUE(full.ok());
-  FeaturePlane plane(std::move(full).ValueOrDie(), {});
-  EXPECT_DEATH((void)plane.View(), "Refresh");
-  plane.Refresh();
-  EXPECT_GT(plane.View().dimension(), 1u);
+  DeltaFeatureExtractor engine(std::move(full).ValueOrDie(), {});
+  EXPECT_DEATH((void)engine.View(), "Refresh");
+  engine.Refresh();
+  EXPECT_GT(engine.View().dimension(), 1u);
 }
 
 }  // namespace

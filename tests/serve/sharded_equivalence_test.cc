@@ -1,13 +1,13 @@
 // The sharding semantics, proven epoch by epoch against a test-local
-// reference (tests/serve/plane_reference.h: one FeaturePlane + one
-// ModelShard applied synchronously, with no routing in between):
+// reference (tests/serve/plane_reference.h: one DeltaFeatureExtractor +
+// one ModelShard applied synchronously, with no routing in between):
 //
 //   N = 1      ShardedIngestor is BITWISE the unrouted plane + shard
 //              composition — same design matrix, scores, labels,
 //              weights, link ids and Top-K answers at every epoch.
 //   N ∈ {2,4}  every shard is BITWISE an independent plane + shard run
 //              over that shard's slice, fed the routed sub-batches (the
-//              shared FeaturePlane computes feature state from the graph
+//              shared feature engine computes feature state from the graph
 //              alone, never from the candidate set), and the router
 //              serves the per-shard models under stable global link ids.
 //
@@ -90,8 +90,8 @@ TEST(ShardedEquivalenceTest, SingleShardIsBitwiseTheUnroutedReference) {
                                 "epoch " + std::to_string(b));
     EXPECT_EQ(sharded.backend().epoch(), plain_service.epoch());
 
-    // ...and the full query surface, including ids (the sharded path runs
-    // in explicit-id mode whose ids must reproduce the identity mapping).
+    // ...and the full query surface, including ids (the coordinator's
+    // routed ids must reproduce the reference's sequential numbering).
     for (NodeId u1 = 0; u1 < users; ++u1) {
       auto plain_top = plain_service.TopKFor(u1, 5);
       auto routed_top = sharded.backend().TopKFor(u1, 5);
@@ -182,11 +182,12 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentReference) {
     }
 
     if (b < s.batches.size()) {
-      std::vector<ServeDelta> routed = RouteServeDelta(
+      std::vector<ShardSlice> routed = RouteServeDelta(
           s.batches[b], options.partition, next_global_id);
       next_global_id += s.batches[b].new_candidates.size();
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(reference[i]->ApplyOnce(routed[i]).ok());
+        ASSERT_TRUE(
+            reference[i]->Apply(s.batches[b].graph, routed[i]).ok());
       }
       ASSERT_TRUE(sharded.ApplyOnce(s_copy.batches[b]).ok());
     }

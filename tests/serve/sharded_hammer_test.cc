@@ -1,7 +1,7 @@
 // Sharded concurrency hammer: reader threads pound the ShardRouter while
-// the coordinator drains batches, advances the shared FeaturePlane and
+// the coordinator drains batches, advances the shared feature engine and
 // fans shard realigns out in parallel. Run under TSan (the dedicated CI
-// job) this validates the plane's publish/consume hand-off and the
+// job) this validates the FeatureView publish/consume hand-off and the
 // per-shard snapshot swaps; under any build it checks reader-visible
 // invariants — the router's min-epoch never regresses, merged answers are
 // internally ordered, and ScorePair agrees with TopKFor's world.

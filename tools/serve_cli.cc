@@ -12,7 +12,7 @@
 //
 // For each shard count in `--shards` (comma-separated, e.g. "1,2,4") the
 // same carved workload runs once: a ShardedIngestor coordinator drains the
-// growth batches in the background (shared FeaturePlane refresh, then a
+// growth batches in the background (one shared feature refresh, then a
 // parallel per-shard realign fan-out) while reader threads hammer the
 // query surface. Queries go exclusively through the
 // QueryBackend interface — this binary never touches AlignmentService or
@@ -58,6 +58,9 @@
 namespace activeiter {
 namespace {
 
+/// Top-K answer size when --topk is 0 or absent.
+constexpr size_t kDefaultTopK = 10;
+
 struct Flags {
   uint64_t seed = 42;
   std::string scale = "tiny";
@@ -68,7 +71,7 @@ struct Flags {
   double churn_frac = 0.0;  // > 0 interleaves shrink batches (see carver)
   size_t query_threads = 4;
   size_t queries_per_thread = 2000;
-  size_t topk = 0;  // 0 = IngestorOptions::default_top_k
+  size_t topk = 0;  // 0 = kDefaultTopK
   size_t threads = 0;  // kernel pool; 0 = serial
   std::vector<size_t> shards = {1};
   size_t shard_block = 1;
@@ -153,10 +156,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     return false;
   }
   return true;
-}
-
-uint64_t PairKey(NodeId u1, NodeId u2) {
-  return (static_cast<uint64_t>(u1) << 32) | u2;
 }
 
 struct RunResult {
@@ -257,7 +256,7 @@ RunResult RunOnce(const Flags& flags, size_t shard_count, ThreadPool* pool,
   std::cout << "[shards " << shard_count << "] epoch 0 published in "
             << StrFormat("%.3f s", start_watch.ElapsedSeconds()) << "\n";
 
-  const size_t topk = flags.topk > 0 ? flags.topk : options.default_top_k;
+  const size_t topk = flags.topk > 0 ? flags.topk : kDefaultTopK;
 
   // Readers hammer the query surface while the shards swap epochs under
   // them; each thread records its query latencies for the percentile
